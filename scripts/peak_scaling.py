@@ -3,7 +3,7 @@
 the finite-n transition value approaches its limit as n grows.
 
 Usage:
-    python scripts/peak_scaling.py [--z Z] [--a NUM/DEN]
+    python scripts/peak_scaling.py [--z Z] [--a NUM/DEN] [--max-exp K]
 """
 
 import argparse
@@ -17,7 +17,8 @@ def main():
     ap.add_argument("--a", default="1/2", help="asymmetry as an exact rational")
     ap.add_argument("--z", type=float, default=-5.0)
     ap.add_argument("--max-exp", type=int, default=16,
-                    help="largest n is 2**max_exp (peaks measured to 2**14)")
+                    help="largest n is 2**max_exp (at most 24); peaks are "
+                         "measured at every n")
     args = ap.parse_args()
 
     frac = Fraction(args.a)
@@ -28,13 +29,9 @@ def main():
     for k in range(8, args.max_exp + 1, 2):
         n = 2 ** k
         wbar = omega_finite_n(n, a, args.z)
-        if k <= 14:
-            k_peak, offset = peak_drift(n, a, args.z)
-            print(f"{n:>10d} {wbar:>18.12f} {abs(wbar - w_inf):>12.3e} "
-                  f"{k_peak:>8d} {offset:>12.6f}")
-        else:
-            print(f"{n:>10d} {wbar:>18.12f} {abs(wbar - w_inf):>12.3e} "
-                  f"{'-':>8s} {'-':>12s}")
+        k_peak, offset = peak_drift(n, a, args.z)
+        print(f"{n:>10d} {wbar:>18.12f} {abs(wbar - w_inf):>12.3e} "
+              f"{k_peak:>8d} {offset:>12.6f}")
 
 
 if __name__ == "__main__":

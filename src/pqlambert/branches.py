@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ __all__ = [
 _EPS = math.ulp(1.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_LN2 = math.log(2.0)
 
 
 class ClosedFormTag(enum.Enum):
@@ -140,7 +142,7 @@ def _solve_branch(p: AsymmetryParam, branch: BranchId, x: float) -> float:
     t_max = 1.0 / ((1.0 - a) * (1.0 + a))
     if branch is BranchId.PRINCIPAL:
         if x == 0.0:
-            return 0.0
+            return x  # keeps the sign of an underflowed -0.0
         if x < 0.0:
             if t <= 0.6 * t_max:
                 seed = _bp_seed(bc, t, 1.0, a)
@@ -352,7 +354,31 @@ def omega(a, z: float) -> float:
     x = forward(p, z)
     if z < wmin:
         return _solve_branch(p, BranchId.PRINCIPAL, x)
+    if abs(x) < sys.float_info.min:
+        return _omega_lower_log(p.a, z)
     return _solve_branch(p, BranchId.LOWER, x)
+
+
+def _omega_lower_log(a: float, z: float) -> float:
+    """Lower-branch omega for z so close to 0 that forward(a, z) is subnormal.
+
+    Solves the log form (1-a)*y + log(1 - exp(2a*y)) = log(-2*forward(a, z))
+    with the right side taken as (1-a)*z + log(2a) + log(-z), exact to
+    rounding here (|2a*z| < 1e-300) and free of underflow.  The iteration
+    y <- (rhs - log(1 - exp(2a*y)))/(1-a) starts below the root and climbs
+    to it monotonically.
+    """
+    rhs = (1.0 - a) * z + math.log(2.0 * a) + math.log(-z)
+    y = rhs / (1.0 - a)
+    for _ in range(100):
+        u = 2.0 * a * y
+        # log(1 - exp(u)), accurate for u near 0 and far below it
+        log1m = math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
+        y_next = (rhs - log1m) / (1.0 - a)
+        if y_next <= y:
+            return y
+        y = y_next
+    raise ConvergenceError(f"log-domain omega did not settle at z = {z!r}")
 
 
 def _omega_13(z: float) -> float:

@@ -3,6 +3,7 @@ peak detection, and the bridge from the asymmetry/transition parameters."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ __all__ = [
 ]
 
 N_MAX = 2 ** 24          # practical cap for building full distributions
-PLATEAU_TOL = 1e-13      # log-coefficients closer than this count as tied
+_LN2 = math.log(2.0)
 
 
 class DegenerateRatioError(DomainError):
@@ -96,16 +97,22 @@ class PqDistribution:
 def _log_abs_diff_terms(log_hi: float, log_ratio: float, m) -> np.ndarray:
     """log |hi^m - lo^m| = m*log(hi) + log(1 - (lo/hi)^m), vectorized in m.
 
-    ``log_ratio`` = log(lo/hi) < 0.  The second term switches between
-    log(-expm1(t)) and log1p(-exp(t)) at t = -log(2) to stay accurate for
-    ratios near 1 and near 0 alike.
+    ``log_ratio`` = log(lo/hi) < 0 and ``m`` ascends.  The second term
+    switches between log(-expm1(t)) and log1p(-exp(t)) at t = -log(2) to
+    stay accurate for ratios near 1 and near 0 alike; t = m*log_ratio
+    descends, so the first form covers a prefix and the second the rest.
     """
-    t = m * log_ratio
-    out = np.empty_like(t, dtype=float)
-    near = t > -math.log(2.0)
-    out[near] = np.log(-np.expm1(t[near]))
-    out[~near] = np.log1p(-np.exp(t[~near]))
-    return m * log_hi + out
+    out = m * log_ratio
+    cut = bisect.bisect_left(out, True, key=lambda t: t <= -_LN2)
+    near, far = out[:cut], out[cut:]
+    np.expm1(near, out=near)
+    np.negative(near, out=near)
+    np.log(near, out=near)
+    np.exp(far, out=far)
+    np.negative(far, out=far)
+    np.log1p(far, out=far)
+    out += m * log_hi
+    return out
 
 
 def log_pq_binomial(params: PqParams, k: int) -> float:
@@ -130,36 +137,41 @@ def log_pq_binomial(params: PqParams, k: int) -> float:
     return float(np.sum(num - den))
 
 
-def _find_peaks(log_coeffs: np.ndarray) -> tuple:
-    """Strict local maxima with plateau handling.
+def _find_peaks(ratios: np.ndarray, tol: float) -> tuple:
+    """Local maxima of a sequence C(0..n) from its adjacent log-ratios.
 
-    Differences within PLATEAU_TOL are treated as flat; a flat run counts
-    as a single candidate at its smallest index.  Boundary maxima count.
+    ``ratios[i]`` = log C(i+1)/C(i).  Ratios within ``tol`` of zero count
+    as flat, and a rise followed by a fall, with or without a flat run
+    between them, makes one peak.  Within the flat run the peak settles
+    on the first index whose next ratio is not positive, so exact ties
+    keep the smallest index.  Boundary maxima count.
     """
-    d = np.diff(log_coeffs)
-    trend = np.zeros(d.shape, dtype=np.int8)
-    trend[d > PLATEAU_TOL] = 1
-    trend[d < -PLATEAU_TOL] = -1
+    # trend[i+1] is the sign of ratios[i]; a rise before C(0) and a fall
+    # after C(n) make boundary maxima look like interior ones
+    trend = np.empty(ratios.size + 2, dtype=np.int8)
+    trend[0], trend[-1] = 1, -1
+    np.subtract((ratios > tol).view(np.int8), (ratios < -tol).view(np.int8),
+                out=trend[1:-1])
     nz = np.flatnonzero(trend)
-    if nz.size == 0:
-        return (0,)
+    s = trend[nz]
+    at = np.flatnonzero((s[:-1] == 1) & (s[1:] == -1))
     peaks = []
-    if trend[nz[0]] == -1:
-        peaks.append(0)
-    for i in range(nz.size - 1):
-        if trend[nz[i]] == 1 and trend[nz[i + 1]] == -1:
-            peaks.append(int(nz[i]) + 1)
-    if trend[nz[-1]] == 1:
-        peaks.append(int(nz[-1]) + 1)
+    for start, stop in zip(nz[at].tolist(), (nz[at + 1] - 1).tolist()):
+        nonpos = np.flatnonzero(ratios[start:stop] <= 0.0)
+        peaks.append(start + int(nonpos[0]) if nonpos.size else stop)
     return tuple(peaks)
 
 
 def build_distribution(params: PqParams) -> PqDistribution:
     """Build all n+1 log-coefficients, the normalizer, and the peak list.
 
-    Uses prefix sums of the factor logs: log C(k) = S(n) - S(n-k) - S(k)
-    where S accumulates log|hi^m - lo^m|.  This is O(n), overflow-free,
-    and bit-exactly symmetric under k <-> n-k.
+    With d[m-1] = log|hi^m - lo^m|, the log-coefficients come from prefix
+    sums S of d: log C(k) = S(n) - S(n-k) - S(k).  This is O(n),
+    overflow-free, and bit-exactly symmetric under k <-> n-k.  The peaks
+    come from the adjacent log-ratios log C(k)/C(k-1) = d[n-k] - d[k-1],
+    each one subtraction free of the prefix sums' drift and exactly
+    antisymmetric; ratios within 4 ulps of the largest term magnitude count
+    as flat.
     """
     n = params.n
     if n > N_MAX:
@@ -168,16 +180,27 @@ def build_distribution(params: PqParams) -> PqDistribution:
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
     log_ratio = math.log(lo) - math.log(hi)
-    m = np.arange(1, n + 1, dtype=float)
-    d = _log_abs_diff_terms(log_hi, log_ratio, m)
-    s = np.concatenate(([0.0], np.cumsum(d)))
-    k = np.arange(0, n // 2 + 1)
-    half = s[n] - s[n - k] - s[k]
-    log_coeffs = np.concatenate((half, half[: (n + 1) // 2][::-1]))
+    d = _log_abs_diff_terms(log_hi, log_ratio, np.arange(1, n + 1, dtype=float))
+    # each d[m] is good to a few ulps of its larger summand, at most
+    # n*|log hi| or, at m = 1, |log(1 - lo/hi)|
+    scale = max(n * abs(log_hi), abs(math.log(-math.expm1(log_ratio))))
+    peaks = _find_peaks(d[::-1] - d, 4.0 * math.ulp(scale))
+    s = np.empty(n + 1)
+    s[0] = 0.0
+    np.cumsum(d, out=s[1:])
+    del d
+    h = n // 2 + 1
+    log_coeffs = np.empty(n + 1)
+    half = log_coeffs[:h]
+    np.subtract(s[n], s[n::-1][:h], out=half)
+    half -= s[:h]
+    del s
+    log_coeffs[h:] = log_coeffs[:(n + 1) // 2][::-1]
     # max-shifted log-sum-exp; numpy's pairwise sum keeps the error O(log n)
     shift = float(log_coeffs.max())
-    log_norm = shift + math.log(float(np.exp(log_coeffs - shift).sum()))
-    peaks = _find_peaks(log_coeffs)
+    terms = log_coeffs - shift
+    np.exp(terms, out=terms)
+    log_norm = shift + math.log(float(terms.sum()))
     log_coeffs.flags.writeable = False
     return PqDistribution(params=params, log_coeffs=log_coeffs,
                           log_norm=log_norm, peaks=peaks)
@@ -195,6 +218,9 @@ def equal_ratio_residual(params: PqParams, k: int) -> float:
         raise DomainError(f"k must be an integer in [1, {n}], got {k!r}")
     p, q = params.p, params.q
     d = n + 1 - 2 * k
+    if d == 0:
+        raise DegenerateRatioError(
+            f"k = (n+1)/2 = {k} makes numerator and denominator both vanish")
     if q == 1.0:
         raise DegenerateRatioError("q = 1 makes the denominator vanish")
     if p == 1.0:

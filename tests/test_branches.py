@@ -217,6 +217,28 @@ class TestOmega:
             d4 = abs(omega(1e-4, z) - ref)
             assert d4 < d3 < 1e-4
 
+    def test_underflowed_principal_keeps_negative_sign(self):
+        # forward(a, z) underflows to -0.0; the principal root rounds to -0.0
+        for a in (0.5, 0.001):
+            assert forward(a, -1500.0) == 0.0
+            value = omega(a, -1500.0)
+            assert value == 0.0
+            assert math.copysign(1.0, value) == -1.0
+
+    @pytest.mark.parametrize("a", [0.001, 0.37, 0.5, 0.999])
+    @pytest.mark.parametrize("z", [-5e-324, -1e-310, -1e-300])
+    def test_lower_branch_near_zero(self, a, z, mp50):
+        # forward(a, z) is subnormal or zero here; compare with the root of
+        # the log form of f(a, y) = f(a, z) at 50 digits
+        value = omega(a, z)
+        am, zm = mp50.mpf(a), mp50.mpf(z)
+        rhs = (1 - am) * zm + mp50.log(-mp50.expm1(2 * am * zm))
+        ref = mp50.findroot(
+            lambda y: (1 - am) * y + mp50.log(-mp50.expm1(2 * am * y)) - rhs,
+            mp50.mpf(value))
+        assert math.isfinite(value) and value < branch_constants(a).w_min
+        assert abs(value - float(ref)) <= 4.0 * math.ulp(value)
+
 
 class TestOmegaClosedForm:
     def test_fixed_point_one_third(self):

@@ -11,6 +11,7 @@ from pqlambert.branches import omega, omega_finite_n
 from pqlambert.pqbinom import (
     DegenerateRatioError,
     PqParams,
+    _find_peaks,
     build_distribution,
     equal_ratio_residual,
     log_pq_binomial,
@@ -18,6 +19,51 @@ from pqlambert.pqbinom import (
 )
 
 A_HALF = AsymmetryParam.from_rational(1, 2)
+
+
+def seed_log_coeffs(n, p, q):
+    """Reference copy of the original builder's formula: masked factor
+    terms, prefix sums, gathered half, mirrored upper half, log-sum-exp."""
+    hi, lo = max(p, q), min(p, q)
+    log_hi = math.log(hi)
+    log_ratio = math.log(lo) - math.log(hi)
+    m = np.arange(1, n + 1, dtype=float)
+    t = m * log_ratio
+    out = np.empty_like(t, dtype=float)
+    near = t > -math.log(2.0)
+    out[near] = np.log(-np.expm1(t[near]))
+    out[~near] = np.log1p(-np.exp(t[~near]))
+    d = m * log_hi + out
+    s = np.concatenate(([0.0], np.cumsum(d)))
+    k = np.arange(0, n // 2 + 1)
+    half = s[n] - s[n - k] - s[k]
+    log_coeffs = np.concatenate((half, half[: (n + 1) // 2][::-1]))
+    shift = float(log_coeffs.max())
+    log_norm = shift + math.log(float(np.exp(log_coeffs - shift).sum()))
+    return log_coeffs, log_norm
+
+
+def loop_peaks(ratios, tol):
+    """Plain-loop reference scan over adjacent log-ratios."""
+    n = len(ratios)
+    trend = [1 if r > tol else -1 if r < -tol else 0 for r in ratios]
+    peaks = []
+    for k in range(n + 1):
+        rises = k == 0 or trend[k - 1] == 1
+        j = k
+        while j < n and trend[j] == 0:
+            j += 1
+        falls = j == n or trend[j] == -1
+        if rises and falls:
+            settle = [i for i in range(k, j) if ratios[i] <= 0.0]
+            peaks.append(settle[0] if settle else j)
+    return tuple(peaks)
+
+
+def mp_log_ratio(n, p, q, k, mp):
+    """Exact log C(k)/C(k-1) = log((p^(n-k+1) - q^(n-k+1))/(p^k - q^k))."""
+    p, q = mp.mpf(p), mp.mpf(q)
+    return mp.log((p ** (n - k + 1) - q ** (n - k + 1)) / (p ** k - q ** k))
 
 
 def mp_log_coefficient(n, p, q, k, mp):
@@ -136,6 +182,81 @@ class TestDistribution:
         with pytest.raises(DomainError):
             build_distribution(PqParams(n=2 ** 24 + 1, p=1.1, q=0.9))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 4097, 2 ** 16])
+    def test_bit_identical_to_seed_formula(self, n):
+        cases = [(1.1, 0.9), (0.2, 3.0), (1.0, 0.5), (1.0001, 0.9999)]
+        if n > 8:  # q = 1 + 2z/n > 0 and p = 1 + 2y/n > 0
+            for a, z in ((A_HALF, -5.0), (0.37, -2.0), (0.9, -0.5), (0.0, -3.0)):
+                params = PqParams.from_transition(n, a, z)
+                cases.append((params.p, params.q))
+        for p, q in cases:
+            dist = build_distribution(PqParams(n=n, p=p, q=q))
+            ref_coeffs, ref_norm = seed_log_coeffs(n, p, q)
+            assert np.array_equal(dist.log_coeffs, ref_coeffs), (n, p, q)
+            assert dist.log_norm == ref_norm, (n, p, q)
+
+    @pytest.mark.parametrize("n, a, z", [
+        (65536, 0.1465, -29.598),
+        (4096, 0.37, -2.0),
+        (4097, A_HALF, -5.0),
+        (1024, 0.0, -5.0),
+        (2 ** 14, 0.9, -0.5),
+    ])
+    def test_peaks_are_exact_local_maxima(self, n, a, z, mp50):
+        params = PqParams.from_transition(n, a, z)
+        dist = build_distribution(params)
+        for k in dist.peaks:
+            if k >= 1:
+                assert mp_log_ratio(n, params.p, params.q, k, mp50) >= 0, k
+            if k < n:
+                assert mp_log_ratio(n, params.p, params.q, k + 1, mp50) <= 0, k
+
+    def test_drifted_peak_regression(self, mp50):
+        # differences of the prefix-summed log-coefficients drift by about
+        # 1e-10 here and would flatten the top from k = 27928 on, where the
+        # exact log C(k+1)/C(k) is still +1.9e-13
+        params = PqParams.from_transition(65536, 0.1465, -29.598)
+        dist = build_distribution(params)
+        assert min(dist.peaks) == 27954
+        assert mp_log_ratio(65536, params.p, params.q, 27929, mp50) > 0
+
+
+class TestPeakScan:
+    CASES = [
+        [0.0],                                  # n = 1: C(0) = C(1)
+        [1.0],
+        [-1.0],
+        [0.0, 0.0, 0.0, 0.0],                   # all flat
+        [-1.0, -2.0, 0.5, 1.0],                 # both boundaries are maxima
+        [1.0, 2.0, 0.0, 0.0, -1.0, -3.0],       # exact tie: smallest index
+        [1.0, 1e-15, 2e-15, -1e-15, -1.0],      # settles where ratios turn
+        [1.0, 1e-15, 2e-15, -1.0],              # settles at the fall
+        [1.0, 0.0, 0.0, 1.0, -1.0],             # flat run between two rises
+        [1.0, -1.0, 1.0, -1.0],                 # twin peaks
+        [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0],  # twin plateaus
+        [0.0, 0.0, -1.0, 1.0, 0.0],             # flat start, flat end
+        [1e-14, -1e-14, 1.0, -1.0],             # within tolerance is flat
+    ]
+
+    @pytest.mark.parametrize("ratios", CASES)
+    def test_matches_loop_reference(self, ratios):
+        arr = np.array(ratios)
+        assert _find_peaks(arr, 1e-13) == loop_peaks(ratios, 1e-13)
+
+    def test_random_sign_patterns(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            ratios = rng.integers(-2, 3, size=size) * 0.5 + rng.normal(0.0, 0.1, size)
+            assert _find_peaks(ratios, 0.5) == loop_peaks(ratios.tolist(), 0.5)
+
+    def test_handcrafted_expectations(self):
+        assert _find_peaks(np.array([0.0]), 0.0) == (0,)
+        assert _find_peaks(np.array([-1.0, -2.0, 0.5, 1.0]), 0.0) == (0, 4)
+        assert _find_peaks(np.array([1.0, 2.0, 0.0, 0.0, -1.0]), 0.0) == (2,)
+        assert _find_peaks(np.array([1.0, 1e-15, -1e-15, -1.0]), 1e-13) == (2,)
+        assert _find_peaks(np.array([1e-15, 1e-15]), 1e-13) == (2,)
+
 
 class TestEqualRatioResidual:
     def test_zero_iff_consecutive_equal(self):
@@ -158,6 +279,13 @@ class TestEqualRatioResidual:
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateRatioError):
             equal_ratio_residual(PqParams(n=10, p=0.9, q=1.0), 2)
+
+    def test_middle_index_is_zero_over_zero(self):
+        # k = (n+1)/2 makes both differences vanish
+        with pytest.raises(DegenerateRatioError):
+            equal_ratio_residual(PqParams(n=3, p=1.1, q=0.9), 2)
+        with pytest.raises(DegenerateRatioError):
+            equal_ratio_residual(PqParams(n=9, p=1.0, q=0.9), 5)
 
     def test_trivial_numerator(self):
         assert equal_ratio_residual(PqParams(n=10, p=1.0, q=0.9), 2) == -1.0
