@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad
-
 from . import branches
 from .core import (
     AccuracyError,
@@ -186,6 +184,8 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     substitution x = f_min + t^2; the lower branch additionally maps its
     logarithmic endpoint at 0 through x = -exp(-s).
     """
+    from scipy.integrate import quad  # imported here: scipy costs ~0.4 s to load
+
     p = as_param(a)
     if p.kind is not ParamKind.INTERIOR:
         raise DomainError("requires 0 < a < 1")
@@ -237,6 +237,8 @@ def integral_omega_quadrature(a, rel_tol: float) -> float:
     with negligible remainder.  Raises AccuracyError when the combined
     error estimate exceeds rel_tol times the result.
     """
+    from scipy.integrate import quad  # imported here: scipy costs ~0.4 s to load
+
     p = as_param(a)
     if p.kind is ParamKind.ONE_LIMIT:
         raise DomainError("the integral diverges at a = 1")

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import click
@@ -221,15 +220,7 @@ def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
         grid = _sweep_grid(lo, hi, count, scale)
     except core.DomainError as exc:
         _die_domain(str(exc))
-    threads = int(os.environ.get("PQLAMBERT_THREADS", "1") or "1")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    if threads > 1 and count > 256:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, grid))
-    else:
-        results = [evaluate(t) for t in grid]
-    records = [{input_name: t, **res} for t, res in zip(grid, results)]
+    records = [{input_name: t, **evaluate(t)} for t in grid]
     fieldnames = [input_name, "value"] + (["closed_form"] if with_closed else []) + ["status"]
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -24,6 +24,7 @@ __all__ = [
 
 N_MAX = 2 ** 24          # practical cap for building full distributions
 _LN2 = math.log(2.0)
+_EXP_FLOOR = -746.0      # exp(x) rounds to +0.0 for every x below about -745.13
 
 
 class DegenerateRatioError(DomainError):
@@ -91,7 +92,20 @@ class PqDistribution:
 
     def masses(self) -> np.ndarray:
         """Probability masses exp(log_coeffs - log_norm), summing to 1."""
-        return np.exp(self.log_coeffs - self.log_norm)
+        return _exp_in_place(self.log_coeffs - self.log_norm)
+
+
+def _exp_in_place(x: np.ndarray) -> np.ndarray:
+    """np.exp(x) written over x, bit for bit.
+
+    numpy's exp is several times slower on arguments whose result
+    underflows, and far from a peak most log-masses do, so exp runs only
+    above _EXP_FLOOR and the rest is set to the +0.0 exp would return.
+    """
+    live = x > _EXP_FLOOR
+    np.exp(x, out=x, where=live)
+    np.copyto(x, 0.0, where=~live)
+    return x
 
 
 def _log_abs_diff_terms(log_hi: float, log_ratio: float, m) -> np.ndarray:
@@ -198,8 +212,7 @@ def build_distribution(params: PqParams) -> PqDistribution:
     log_coeffs[h:] = log_coeffs[:(n + 1) // 2][::-1]
     # max-shifted log-sum-exp; numpy's pairwise sum keeps the error O(log n)
     shift = float(log_coeffs.max())
-    terms = log_coeffs - shift
-    np.exp(terms, out=terms)
+    terms = _exp_in_place(log_coeffs - shift)
     log_norm = shift + math.log(float(terms.sum()))
     log_coeffs.flags.writeable = False
     return PqDistribution(params=params, log_coeffs=log_coeffs,

@@ -143,6 +143,25 @@ def bell(n: int, k: int, args) -> float:
     return table[(n, k)]
 
 
+def _bell_table(m_max: int, args) -> list:
+    """All partial Bell polynomials at once: ``table[m][k]`` = B_{m,k}(args)
+    for 0 <= k <= m <= m_max, by the recurrence, summation order and
+    zero skip of bell(), so every entry equals bell(m, k, args) bit for bit.
+    """
+    table = [[1.0]]
+    for nn in range(1, m_max + 1):
+        row = [0.0]
+        for kk in range(1, nn + 1):
+            s = 0.0
+            for j in range(1, nn - kk + 2):
+                prev = table[nn - j][kk - 1]
+                if prev:
+                    s += math.comb(nn - 1, j - 1) * args[j - 1] * prev
+            row.append(s)
+        table.append(row)
+    return table
+
+
 def _lagrange_series_coeffs(f_seq, order: int) -> list:
     """Coefficients g_n of the inverse series, g(x) = sum g_n x^n / n!.
 
@@ -153,13 +172,14 @@ def _lagrange_series_coeffs(f_seq, order: int) -> list:
     """
     f1 = f_seq[1]
     xs = [f_seq[j + 1] / ((j + 1) * f1) for j in range(1, len(f_seq) - 1)]
+    table = _bell_table(order - 1, xs)
     g = [0.0, 1.0 / f1]
     for n in range(2, order + 1):
         total = 0.0
         rising = 1.0
         for k in range(1, n):
             rising *= (n + k - 1)
-            total += (-1) ** k * rising * bell(n - 1, k, xs)
+            total += (-1) ** k * rising * table[n - 1][k]
         g.append(total / f1 ** n)
     return g
 

@@ -1,6 +1,10 @@
 """Tests for the derivative recurrence, primitive, and integrals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,3 +211,20 @@ class TestIntegralOmega:
         # trigger here; instead verify the error object shape directly
         err = AccuracyError("msg", value=1.5, estimate=2e-3)
         assert err.value == 1.5 and err.estimate == 2e-3
+
+
+class TestLazyScipy:
+    @pytest.mark.parametrize("code", [
+        "import pqlambert.cli",
+        "import pqlambert as pq\n"
+        "pq.psi(0.37, pq.BranchId.PRINCIPAL, 1.0)\n"
+        "pq.omega(0.37, -2.0)\n"
+        "pq.build_distribution(pq.PqParams.from_transition(1024, 0.37, -2.0))",
+    ])
+    def test_scipy_not_imported(self, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        probe = code + "\nimport sys\nprint('scipy' in sys.modules)"
+        res = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True)
+        assert res.stdout.strip() == "False"

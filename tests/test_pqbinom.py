@@ -221,6 +221,20 @@ class TestDistribution:
         assert mp_log_ratio(65536, params.p, params.q, 27929, mp50) > 0
 
 
+class TestMasses:
+    @pytest.mark.parametrize("n", [2 ** 10, 2 ** 20])
+    def test_equal_to_plain_exp(self, n):
+        # exp runs only above -746 in masses(); below it plain exp gives +0.0
+        for params in (PqParams.from_transition(n, 0.37, -2.0),
+                       PqParams(n=n, p=1.5, q=0.5)):
+            dist = build_distribution(params)
+            x = dist.log_coeffs - dist.log_norm
+            got = dist.masses()
+            assert got.tobytes() == np.exp(x).tobytes(), params
+        # the last case has arguments on both sides of the floor
+        assert (x < -746.0).any() and (x > -745.0).any()
+
+
 class TestPeakScan:
     CASES = [
         [0.0],                                  # n = 1: C(0) = C(1)

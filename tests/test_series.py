@@ -16,6 +16,7 @@ from pqlambert.core import (
     branch_constants,
 )
 from pqlambert.branches import omega, psi
+from pqlambert import series
 from pqlambert.series import (
     SeriesKind,
     asymptotic_psi0,
@@ -60,6 +61,56 @@ class TestBell:
             bell(5, 2, [1.0, 1.0])
         with pytest.raises(ValueError):
             bell(-1, 0, [])
+
+
+def per_call_lagrange(f_seq, order):
+    """Reference copy of the original Lagrange inversion loop, which calls
+    bell() (and so rebuilds its table) once per (n, k)."""
+    f1 = f_seq[1]
+    xs = [f_seq[j + 1] / ((j + 1) * f1) for j in range(1, len(f_seq) - 1)]
+    g = [0.0, 1.0 / f1]
+    for n in range(2, order + 1):
+        total = 0.0
+        rising = 1.0
+        for k in range(1, n):
+            rising *= (n + k - 1)
+            total += (-1) ** k * rising * bell(n - 1, k, xs)
+        g.append(total / f1 ** n)
+    return g
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSharedBellTable:
+    @pytest.mark.parametrize("a", [0.05, 0.37, 0.9])
+    def test_taylor_bit_identical_to_per_call_bell(self, a, monkeypatch):
+        # the reference's g_n does not depend on the order asked for, so its
+        # order-40 coefficients are the reference at every lower order too
+        monkeypatch.setattr(series, "_lagrange_series_coeffs", per_call_lagrange)
+        ref = taylor_at_zero(a, 40).coeffs
+        monkeypatch.undo()
+        for order in range(2, 41):
+            assert _hex(taylor_at_zero(a, order).coeffs) == _hex(ref[:order]), order
+
+    @pytest.mark.parametrize("a", [0.05, 0.37, 0.9])
+    def test_asymptotic_tail_bit_identical_to_per_call_bell(self, a, monkeypatch):
+        cases = [(which, terms) for which, cap in (("psi0", 4), ("psi1", 3))
+                 for terms in range(1, cap + 1)]
+        monkeypatch.setattr(series, "_lagrange_series_coeffs", per_call_lagrange)
+        ref = [series.asymptotic_tail_coeffs(a, w, t) for w, t in cases]
+        monkeypatch.undo()
+        for (w, t), coeffs in zip(cases, ref):
+            assert _hex(series.asymptotic_tail_coeffs(a, w, t)) == _hex(coeffs), (w, t)
+        # the same kernels to order 40, past the public term caps
+        beta0 = [0.0] + [(2.0 * a) ** k - (a - 1.0) ** k for k in range(1, 42)]
+        beta1 = [0.0] + [(-2.0 * a) ** k - (-a - 1.0) ** k for k in range(1, 42)]
+        for beta in (beta0, beta1):
+            ref = per_call_lagrange(beta, 40)
+            for order in range(2, 41):
+                got = series._lagrange_series_coeffs(beta[:order + 2], order)
+                assert _hex(got) == _hex(ref[:order + 1]), order
 
 
 class TestTaylorAtZero:
