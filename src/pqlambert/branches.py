@@ -219,8 +219,11 @@ def _psi_12(branch: BranchId, x: float) -> float:
         if x >= _SQRT3 / 9.0:
             s = math.sqrt(max(x * x - 1.0 / 27.0, 0.0))
             return 2.0 * math.log(_cbrt(x + s) + _cbrt(x - s))
-        u = math.acos(max(min(3.0 * _SQRT3 * x, 1.0), -1.0))
-        return 2.0 * math.log(2.0 / _SQRT3 * math.cos(u / 3.0))
+        # 2/sqrt(3)*cos(acos(3*sqrt(3)x)/3) == 1 - 2sin^2(d/2) - sin(d)/sqrt(3)
+        # with d = -asin(3*sqrt(3)x)/3; log1p keeps full relative accuracy
+        # as psi -> 0 with x
+        d = -math.asin(max(min(3.0 * _SQRT3 * x, 1.0), -1.0)) / 3.0
+        return 2.0 * math.log1p(-2.0 * math.sin(0.5 * d) ** 2 - math.sin(d) / _SQRT3)
     # cos((acos(3*sqrt(3)x) + 4*pi)/3) == sin(asin(-3*sqrt(3)x)/3) for x < 0
     u = math.asin(max(min(-3.0 * _SQRT3 * x, 1.0), -1.0))
     return 2.0 * math.log(2.0 / _SQRT3 * math.sin(u / 3.0))
@@ -237,11 +240,12 @@ def _acos_shifted(x: float) -> float:
 
 def _psi_15(branch: BranchId, x: float) -> float:
     if branch is BranchId.PRINCIPAL:
-        if x >= 0.0:
+        if math.copysign(1.0, x) > 0.0:  # x >= +0.0; -0.0 keeps its sign below
             s = math.sqrt(x * x + 2.0 * x / 27.0)
             return 2.5 * math.log(_cbrt(x + 1.0 / 27.0 + s) + _cbrt(x + 1.0 / 27.0 - s) + 1.0 / 3.0)
+        # 2/3*cos(u/3) + 1/3 == 1 - 4/3*sin^2(u/6), u = acos(1+27x)
         u = _acos_shifted(x)
-        return 2.5 * math.log(2.0 / 3.0 * math.cos(u / 3.0) + 1.0 / 3.0)
+        return 2.5 * math.log1p(-4.0 / 3.0 * math.sin(u / 6.0) ** 2)
     # cos((acos(1+27x)+4*pi)/3) + 1/2 == sin^2(u/6) + sqrt(3)/2*sin(u/3), u = acos(1+27x)
     u = _acos_shifted(x)
     return 2.5 * math.log(2.0 / 3.0 * math.sin(u / 6.0) ** 2 + math.sin(u / 3.0) / _SQRT3)
@@ -359,6 +363,11 @@ def omega(a, z: float) -> float:
     return _solve_branch(p, BranchId.LOWER, x)
 
 
+def _log1m_exp(u: float) -> float:
+    """log(1 - exp(u)) for u < 0, accurate for u near 0 and far below it."""
+    return math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
+
+
 def _omega_lower_log(a: float, z: float) -> float:
     """Lower-branch omega for z so close to 0 that forward(a, z) is subnormal.
 
@@ -371,10 +380,7 @@ def _omega_lower_log(a: float, z: float) -> float:
     rhs = (1.0 - a) * z + math.log(2.0 * a) + math.log(-z)
     y = rhs / (1.0 - a)
     for _ in range(100):
-        u = 2.0 * a * y
-        # log(1 - exp(u)), accurate for u near 0 and far below it
-        log1m = math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
-        y_next = (rhs - log1m) / (1.0 - a)
+        y_next = (rhs - _log1m_exp(2.0 * a * y)) / (1.0 - a)
         if y_next <= y:
             return y
         y = y_next
@@ -382,24 +388,17 @@ def _omega_lower_log(a: float, z: float) -> float:
 
 
 def _omega_13(z: float) -> float:
-    return 1.5 * math.log(-math.expm1(2.0 * z / 3.0))
+    return 1.5 * _log1m_exp(2.0 * z / 3.0)
 
 
 def _omega_12(z: float) -> float:
-    fz = forward(AsymmetryParam(0.5), z)
-    if z < -math.log(3.0):
-        u = math.acos(max(min(3.0 * _SQRT3 * fz, 1.0), -1.0))
-        return 2.0 * math.log(2.0 / _SQRT3 * math.cos(u / 3.0))
-    u = math.asin(max(min(-3.0 * _SQRT3 * fz, 1.0), -1.0))
-    return 2.0 * math.log(2.0 / _SQRT3 * math.sin(u / 3.0))
+    branch = BranchId.PRINCIPAL if z < -math.log(3.0) else BranchId.LOWER
+    return _psi_12(branch, forward(AsymmetryParam(0.5), z))
 
 
 def _omega_15(z: float) -> float:
-    fz = forward(AsymmetryParam(0.2), z)
-    u = _acos_shifted(fz)
-    if z < -2.5 * math.log(1.5):
-        return 2.5 * math.log(2.0 / 3.0 * math.cos(u / 3.0) + 1.0 / 3.0)
-    return 2.5 * math.log(2.0 / 3.0 * math.sin(u / 6.0) ** 2 + math.sin(u / 3.0) / _SQRT3)
+    branch = BranchId.PRINCIPAL if z < -2.5 * math.log(1.5) else BranchId.LOWER
+    return _psi_15(branch, forward(AsymmetryParam(0.2), z))
 
 
 def omega_closed_form(a, z: float) -> float:

@@ -1,16 +1,22 @@
 """Log-domain p,q-binomial coefficients, the normalized distribution with
-peak detection, and the bridge from the asymmetry/transition parameters."""
+peak detection, and the bridge from the asymmetry/transition parameters.
+
+numpy is imported inside the functions that build arrays, so the scalar
+parts (PqParams, equal_ratio_residual) and every module that imports this
+one start without it."""
 
 from __future__ import annotations
 
 import bisect
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import branches
 from .core import DomainError, as_param
+
+if TYPE_CHECKING:  # for the annotations only
+    import numpy as np
 
 __all__ = [
     "DegenerateRatioError",
@@ -102,6 +108,8 @@ def _exp_in_place(x: np.ndarray) -> np.ndarray:
     underflows, and far from a peak most log-masses do, so exp runs only
     above _EXP_FLOOR and the rest is set to the +0.0 exp would return.
     """
+    import numpy as np
+
     live = x > _EXP_FLOOR
     np.exp(x, out=x, where=live)
     np.copyto(x, 0.0, where=~live)
@@ -116,6 +124,8 @@ def _log_abs_diff_terms(log_hi: float, log_ratio: float, m) -> np.ndarray:
     stay accurate for ratios near 1 and near 0 alike; t = m*log_ratio
     descends, so the first form covers a prefix and the second the rest.
     """
+    import numpy as np
+
     out = m * log_ratio
     cut = bisect.bisect_left(out, True, key=lambda t: t <= -_LN2)
     near, far = out[:cut], out[cut:]
@@ -141,6 +151,8 @@ def log_pq_binomial(params: PqParams, k: int) -> float:
         raise DomainError(f"k must be an integer in [0, {n}], got {k!r}")
     if k == 0:
         return 0.0
+    import numpy as np
+
     hi = max(params.p, params.q)
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
@@ -160,6 +172,8 @@ def _find_peaks(ratios: np.ndarray, tol: float) -> tuple:
     on the first index whose next ratio is not positive, so exact ties
     keep the smallest index.  Boundary maxima count.
     """
+    import numpy as np
+
     # trend[i+1] is the sign of ratios[i]; a rise before C(0) and a fall
     # after C(n) make boundary maxima look like interior ones
     trend = np.empty(ratios.size + 2, dtype=np.int8)
@@ -176,17 +190,16 @@ def _find_peaks(ratios: np.ndarray, tol: float) -> tuple:
     return tuple(peaks)
 
 
-def build_distribution(params: PqParams) -> PqDistribution:
-    """Build all n+1 log-coefficients, the normalizer, and the peak list.
+def _terms_and_peaks(params: PqParams) -> tuple[np.ndarray, tuple]:
+    """The factor terms d[m-1] = log|hi^m - lo^m|, m = 1..n, and the peaks.
 
-    With d[m-1] = log|hi^m - lo^m|, the log-coefficients come from prefix
-    sums S of d: log C(k) = S(n) - S(n-k) - S(k).  This is O(n),
-    overflow-free, and bit-exactly symmetric under k <-> n-k.  The peaks
-    come from the adjacent log-ratios log C(k)/C(k-1) = d[n-k] - d[k-1],
-    each one subtraction free of the prefix sums' drift and exactly
-    antisymmetric; ratios within 4 ulps of the largest term magnitude count
-    as flat.
+    The peaks come from the adjacent log-ratios
+    log C(k)/C(k-1) = d[n-k] - d[k-1], each one subtraction, exactly
+    antisymmetric and free of any prefix-sum drift; ratios within 4 ulps
+    of the largest term magnitude count as flat.
     """
+    import numpy as np
+
     n = params.n
     if n > N_MAX:
         raise DomainError(f"n = {n} exceeds the practical cap {N_MAX}")
@@ -198,7 +211,21 @@ def build_distribution(params: PqParams) -> PqDistribution:
     # each d[m] is good to a few ulps of its larger summand, at most
     # n*|log hi| or, at m = 1, |log(1 - lo/hi)|
     scale = max(n * abs(log_hi), abs(math.log(-math.expm1(log_ratio))))
-    peaks = _find_peaks(d[::-1] - d, 4.0 * math.ulp(scale))
+    return d, _find_peaks(d[::-1] - d, 4.0 * math.ulp(scale))
+
+
+def build_distribution(params: PqParams) -> PqDistribution:
+    """Build all n+1 log-coefficients, the normalizer, and the peak list.
+
+    With d[m-1] = log|hi^m - lo^m|, the log-coefficients come from prefix
+    sums S of d: log C(k) = S(n) - S(n-k) - S(k).  This is O(n),
+    overflow-free, and bit-exactly symmetric under k <-> n-k.  The peaks
+    come from the adjacent log-ratios (see _terms_and_peaks).
+    """
+    import numpy as np
+
+    n = params.n
+    d, peaks = _terms_and_peaks(params)
     s = np.empty(n + 1)
     s[0] = 0.0
     np.cumsum(d, out=s[1:])
@@ -248,11 +275,12 @@ def equal_ratio_residual(params: PqParams, k: int) -> float:
 def peak_drift(n: int, a, z: float) -> tuple[int, float]:
     """Lower peak index and its normalized offset from k/n = (1-a)/2.
 
-    Builds the distribution at y = omega(a, z) and measures
+    Takes the peaks of the distribution at y = omega(a, z), the same as
+    build_distribution's, from the log-ratio scan alone, and measures
     |k_peak - n(1-a)/2| / n; the offset shrinks toward 0 as n grows.
     """
     ap = as_param(a)
-    dist = build_distribution(PqParams.from_transition(n, ap, z))
-    k_peak = min(dist.peaks)
+    _, peaks = _terms_and_peaks(PqParams.from_transition(n, ap, z))
+    k_peak = min(peaks)
     offset = abs(k_peak - n * (1.0 - ap.a) / 2.0) / n
     return k_peak, offset

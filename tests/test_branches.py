@@ -161,6 +161,16 @@ class TestClosedForms:
             assert forward(a, w) == pytest.approx(x, rel=1e-11)
 
 
+class TestClosedFormsNearZero:
+    @pytest.mark.parametrize("num, den", [(1, 2), (1, 5)])
+    def test_principal_psi_tends_to_zero(self, num, den):
+        # psi0 ~ x/a -> 0 as x -> 0^-: the log(1 + small) piece must not cancel
+        a = AsymmetryParam.from_rational(num, den)
+        for x in (-1e-3, -1e-8, -1e-100, -1e-300):
+            got, want = psi_closed_form(a, P, x), psi(a, P, x)
+            assert abs(got - want) <= 1e-14 * abs(want), x
+
+
 class TestOmega:
     def test_figure_values(self):
         assert omega(AsymmetryParam.from_rational(1, 2), -5.0) == pytest.approx(
@@ -256,6 +266,32 @@ class TestOmegaClosedForm:
     def test_small_z_blowup(self):
         a = AsymmetryParam.from_rational(1, 5)
         assert omega_closed_form(a, -1e-9) < -20.0
+
+    @pytest.mark.parametrize("num, den", [(1, 3), (1, 2), (1, 5)])
+    @pytest.mark.parametrize("z", [-20.0, -30.0, -50.0, -200.0])
+    def test_far_tail_against_mpmath(self, num, den, z, mp50):
+        # omega -> 0^- here; log(1 + tiny) forms lost every digit by z = -50
+        am, zm = mp50.mpf(num) / den, mp50.mpf(z)
+
+        def log_neg_f(y):  # log(-f(y)) = y + log(sinh(-a*y)), increasing in -y
+            return y + mp50.log(mp50.sinh(-am * y))
+
+        # principal root y in (w_min, 0), bisected in s = log(-y)
+        lo, hi = mp50.mpf(-3000), mp50.log(-branch_constants(num / den).w_min)
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            if log_neg_f(-mp50.exp(mid)) < log_neg_f(zm):
+                lo = mid
+            else:
+                hi = mid
+        ref = -mp50.exp((lo + hi) / 2)
+        got = omega_closed_form(AsymmetryParam.from_rational(num, den), z)
+        assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_underflowed_tail_keeps_sign(self):
+        for num, den in ((1, 3), (1, 2), (1, 5)):
+            got = omega_closed_form(AsymmetryParam.from_rational(num, den), -1500.0)
+            assert got == 0.0 and math.copysign(1.0, got) == -1.0, (num, den)
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedError):

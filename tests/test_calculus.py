@@ -20,6 +20,7 @@ from pqlambert.core import (
 )
 from pqlambert.branches import psi
 from pqlambert.calculus import (
+    _tanh_sinh,
     integral_omega,
     integral_omega_quadrature,
     integral_psi,
@@ -182,6 +183,58 @@ class TestIntegralPsi:
             assert quadv == pytest.approx(closed, abs=1e-8)
 
 
+class TestTanhSinh:
+    @pytest.mark.parametrize("f, lo, hi, exact", [
+        (math.sqrt, 0.0, 1.0, 2.0 / 3.0),
+        (math.log, 0.0, 1.0, -1.0),                     # log endpoint singularity
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, 2.0),  # unbounded at 0
+        (lambda x: math.log(-x), -1.0, 0.0, -1.0),      # singular at the upper end
+        (lambda x: math.sqrt(1.0 - x * x), -1.0, 1.0, math.pi / 2.0),
+        (lambda x: 1.0 / (1.0 + x * x), -1.0, 1.0, math.pi / 2.0),
+        (lambda x: math.exp(-x), 0.0, 60.0, -math.expm1(-60.0)),
+        (math.cos, 0.0, 10.0, math.sin(10.0)),
+    ])
+    def test_known_integrals(self, f, lo, hi, exact):
+        for tol in (1e-6, 1e-12):
+            value, err = _tanh_sinh(f, lo, hi, tol)
+            assert err <= tol * max(1.0, abs(value))
+            assert abs(value - exact) <= tol * max(1.0, abs(exact))
+
+    def test_singularity_at_nonzero_endpoint(self):
+        # nodes within an ulp of 1 round onto it and are skipped; rounding
+        # x = 1 - gap limits this integral to about 1e-8
+        value, _ = _tanh_sinh(lambda x: 1.0 / math.sqrt(1.0 - x), 0.0, 1.0, 1e-6)
+        assert abs(value - 2.0) <= 1e-6
+
+    def test_level_cap_raises_accuracy_error(self):
+        # a jump inside the interval converges only like the step h
+        def step(x):
+            return 1.0 if x > 1.0 / 3.0 else 0.0
+
+        with pytest.raises(AccuracyError) as info:
+            _tanh_sinh(step, 0.0, 1.0, 1e-12)
+        assert info.value.value == pytest.approx(2.0 / 3.0, abs=1e-2)
+        assert info.value.estimate > 1e-12
+
+
+class TestQuadratureAgainstClosedForms:
+    AS = [0.01, 0.2, 0.5, 0.8, 0.95, 0.99]
+
+    @pytest.mark.parametrize("a", AS)
+    def test_psi_integrals(self, a):
+        for branch in (P, LO):
+            closed = integral_psi(a, branch)
+            got = integral_psi_quadrature(a, branch, 1e-9)
+            assert abs(got - closed) <= 1e-9 * abs(closed), branch
+
+    @pytest.mark.parametrize("a", AS)
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-10])
+    def test_omega_integral(self, a, rel_tol):
+        closed = integral_omega(a)
+        got = integral_omega_quadrature(a, rel_tol)
+        assert abs(got - closed) <= rel_tol * abs(closed)
+
+
 class TestIntegralOmega:
     def test_closed_values(self):
         assert integral_omega(1 / 3) == pytest.approx(-3.0 * math.pi ** 2 / 8.0,
@@ -211,6 +264,12 @@ class TestIntegralOmega:
         # trigger here; instead verify the error object shape directly
         err = AccuracyError("msg", value=1.5, estimate=2e-3)
         assert err.value == 1.5 and err.estimate == 2e-3
+
+
+def test_no_source_file_imports_scipy():
+    src = Path(__file__).resolve().parents[1] / "src" / "pqlambert"
+    for path in src.glob("*.py"):
+        assert "scipy" not in path.read_text(), path.name
 
 
 class TestLazyScipy:

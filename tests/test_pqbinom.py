@@ -1,12 +1,16 @@
 """Tests for the p,q-binomial coefficients, distribution, and peaks."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqlambert.core import AsymmetryParam, DomainError
+from pqlambert.core import AsymmetryParam, DomainError, as_param
 from pqlambert.branches import omega, omega_finite_n
 from pqlambert.pqbinom import (
     DegenerateRatioError,
@@ -322,7 +326,62 @@ class TestPeakDrift:
         assert k_peak < 512
         assert offset > 0.0
 
+    @pytest.mark.parametrize("n, a, z", [
+        (63, 0.37, -2.0),
+        (4097, A_HALF, -5.0),
+        (2 ** 16, 0.9, -0.5),
+        (2 ** 16, 0.0, -3.0),
+        (65536, 0.1465, -29.598),   # the drifted-peak regression case
+    ])
+    def test_peak_matches_full_build(self, n, a, z):
+        k_peak, offset = peak_drift(n, a, z)
+        dist = build_distribution(PqParams.from_transition(n, a, z))
+        assert k_peak == min(dist.peaks)
+        assert offset == abs(k_peak - n * (1.0 - as_param(a).a) / 2.0) / n
+
+    def test_cap(self):
+        with pytest.raises(DomainError):
+            peak_drift(2 ** 24 + 1, 0.37, -2.0)
+
     def test_offset_shrinks_with_n(self):
         offsets = [peak_drift(2 ** k, A_HALF, -5.0)[1] for k in (10, 12, 14)]
         assert offsets[2] <= offsets[0] * 1.1
         assert all(o2 <= o1 * 1.1 for o1, o2 in zip(offsets, offsets[1:]))
+
+
+def _probe(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on this source tree with the given arguments."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+class TestLazyNumpy:
+    @pytest.mark.parametrize("code", [
+        "import pqlambert.cli",
+        "import pqlambert as pq\n"
+        "pq.psi(0.37, pq.BranchId.PRINCIPAL, 1.0)\n"
+        "pq.omega(0.37, -2.0)\n"
+        "pq.omega_finite_n(1000, 0.37, -2.0)\n"
+        "params = pq.PqParams.from_transition(1000, 0.37, -2.0)\n"
+        "pq.equal_ratio_residual(params, 315)",
+    ])
+    def test_numpy_not_imported(self, code):
+        res = _probe("-c", code + "\nimport sys\nprint('numpy' in sys.modules)")
+        assert res.stdout.strip() == "False"
+
+    def test_loaded_by_first_build(self):
+        res = _probe("-c", "import sys\nimport pqlambert as pq\n"
+                     "pq.build_distribution(pq.PqParams(n=8, p=1.1, q=0.9))\n"
+                     "print('numpy' in sys.modules)")
+        assert res.stdout.strip() == "True"
+
+    def test_eval_omega_process(self):
+        # -X importtime lists every module the process imports on stderr
+        res = _probe("-X", "importtime", "-m", "pqlambert.cli",
+                     "eval", "omega", "--a", "0.37", "--z", "-5")
+        assert res.stdout.startswith("function,")
+        imported = [line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()]
+        assert "pqlambert.branches" in imported
+        assert not [m for m in imported if m.split(".")[0] in ("numpy", "scipy")]
