@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Worst error in ulps, per region, of psi_derivative, taylor_at_zero and
+the closed-form branches against the 50-digit mpmath oracle of bench/.
+
+Usage:
+    PYTHONPATH=src python scripts/ulp_map.py
+
+Each line gives the function, the region, the number of points, the worst
+error in ulps of the reference value rounded to a double, and the input
+where it occurs.  A point where the library raises (other than a
+RangeError where the reference overflows) is listed as a failure.
+"""
+
+import math
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import oracle  # noqa: E402
+
+from pqlambert import AsymmetryParam, BranchId, branch_constants  # noqa: E402
+from pqlambert.branches import psi_closed_form  # noqa: E402
+from pqlambert.calculus import psi_derivative  # noqa: E402
+from pqlambert.series import taylor_at_zero  # noqa: E402
+
+
+def branch_root(a: Fraction, branch: str, x: float):
+    """oracle.psi, polished by Newton steps to full relative accuracy for
+    roots near 0, where the oracle's absolute stopping rule ends early."""
+    am, xm = oracle.M(a), oracle.M(x)
+    w = oracle.psi(a, branch, x, None)
+    for _ in range(8):
+        w -= (oracle.fwd(am, w) - xm) / oracle.fwd_dw(am, w)
+    return w
+
+
+def ulps(got: float, ref) -> float:
+    ref_d = float(ref)
+    if ref_d == 0.0:
+        return 0.0 if got == 0.0 else math.inf
+    return float(abs(oracle.M(got) - ref)) / math.ulp(ref_d)
+
+
+def regions(f_min: float) -> dict:
+    """x grids per region of both branches, log-dense near f_min, 0 and the tail."""
+    near = [f_min * (1.0 - 10.0 ** -k) for k in (2, 4, 6, 8, 10)]
+    return {
+        ("principal", "near f_min"): near,
+        ("principal", "f_min < x < 0"): [f_min * s for s in (0.5, 0.1, 1e-3, 1e-8)],
+        ("principal", "0 <= x <= 1"): [0.0, 1e-300, 1e-100, 1e-8, 1e-3, 0.5, 1.0],
+        ("principal", "1 < x <= 1e6"): [2.0, 10.0, 1e3, 1e6],
+        ("principal", "x > 1e6"): [1e10, 1e50, 1e150, 1e300],
+        ("lower", "near f_min"): near,
+        ("lower", "f_min < x < 1e-3 f_min"): [f_min * s for s in (0.9, 0.5, 0.1, 0.01)],
+        ("lower", "x near 0-"): [f_min * s for s in (1e-3, 1e-8, 1e-50, 1e-200)],
+    }
+
+
+def report(name: str, region: str, rows: list) -> None:
+    fails = [arg for arg, err in rows if err is None]
+    errs = [(err, arg) for arg, err in rows if err is not None]
+    worst, where = max(errs, key=lambda t: t[0]) if errs else (0.0, None)
+    line = f"{name:<22s} {region:<34s} n={len(rows):<4d} worst={worst:10.3g} ulps at {where}"
+    if fails:
+        line += f"  FAILED at {fails}"
+    print(line, flush=True)
+
+
+def derivative_map() -> None:
+    for a in (0.05, 0.37, 0.9, 0.999):
+        for (br, region), xs in regions(branch_constants(a).f_min).items():
+            branch = BranchId(br)
+            rows = []
+            for x in xs:
+                for n in range(1, 9):
+                    try:
+                        ref, _ = oracle.psi_derivative(a, br, x, n, None)
+                    except (oracle.OutOfDomain, oracle.OracleFailure):
+                        continue
+                    if abs(ref) > sys.float_info.max:
+                        continue  # overflows: a RangeError is correct
+                    try:
+                        rows.append(((x, n), ulps(psi_derivative(a, branch, x, n), ref)))
+                    except ArithmeticError:
+                        rows.append(((x, n), None))
+            report("psi_derivative", f"a={a} {br} {region}", rows)
+
+
+def taylor_map() -> None:
+    for a in (0.05, 0.37, 0.9, 0.95):
+        ref = oracle.taylor_at_zero(a, 40)
+        got = taylor_at_zero(a, 40).coeffs
+        for lo, hi in ((1, 10), (11, 20), (21, 40)):
+            rows = [(m, ulps(got[m - 1], ref[m - 1])) for m in range(lo, hi + 1)]
+            report("taylor_at_zero", f"a={a} coefficients {lo}-{hi}", rows)
+
+
+def closed_form_map() -> None:
+    for num, den in ((1, 3), (1, 2), (1, 5), (3, 5), (1, 7)):
+        a = AsymmetryParam.from_rational(num, den)
+        for (br, region), xs in regions(branch_constants(a).f_min).items():
+            rows = []
+            for x in xs:
+                try:
+                    ref = branch_root(Fraction(num, den), br, x)
+                except (oracle.OutOfDomain, oracle.OracleFailure):
+                    continue
+                try:
+                    rows.append((x, ulps(psi_closed_form(a, BranchId(br), x), ref)))
+                except (ArithmeticError, ValueError):
+                    rows.append((x, None))
+            report("psi_closed_form", f"a={num}/{den} {br} {region}", rows)
+
+
+if __name__ == "__main__":
+    taylor_map()
+    closed_form_map()
+    derivative_map()

@@ -18,6 +18,7 @@ from .core import (
     DomainError,
     ParamKind,
     UnsupportedError,
+    _domain_tol,
     as_param,
     branch_constants,
     forward,
@@ -34,7 +35,6 @@ __all__ = [
     "psi_closed_form",
 ]
 
-_EPS = math.ulp(1.0)
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _LN2 = math.log(2.0)
@@ -58,10 +58,6 @@ class ClosedFormTag(enum.Enum):
                 if tag.value is not None and p.exact == tag.value:
                     return tag
         return cls.NONE
-
-
-def _domain_tol(f_min: float) -> float:
-    return 8.0 * _EPS * abs(f_min)
 
 
 def _check_branch_domain(p: AsymmetryParam, branch: BranchId, x: float) -> None:
@@ -217,8 +213,13 @@ def _psi_13(branch: BranchId, x: float) -> float:
 def _psi_12(branch: BranchId, x: float) -> float:
     if branch is BranchId.PRINCIPAL:
         if x >= _SQRT3 / 9.0:
-            s = math.sqrt(max(x * x - 1.0 / 27.0, 0.0))
-            return 2.0 * math.log(_cbrt(x + s) + _cbrt(x - s))
+            # log(2/sqrt(3)*cosh(theta/3)), theta = acosh(y), y = 3*sqrt(3)x, as
+            # log(2/sqrt(3)) + log1p(2sinh^2(theta/6)), and theta as
+            # log(y) + log1p(sqrt(1 - 1/y^2)): finite up to the largest double
+            r = 1.0 / (3.0 * _SQRT3) / x
+            theta = (1.5 * math.log(3.0) + math.log(x)
+                     + math.log1p(math.sqrt(max((1.0 - r) * (1.0 + r), 0.0))))
+            return math.log(4.0 / 3.0) + 2.0 * math.log1p(2.0 * math.sinh(theta / 6.0) ** 2)
         # 2/sqrt(3)*cos(acos(3*sqrt(3)x)/3) == 1 - 2sin^2(d/2) - sin(d)/sqrt(3)
         # with d = -asin(3*sqrt(3)x)/3; log1p keeps full relative accuracy
         # as psi -> 0 with x
@@ -241,8 +242,10 @@ def _acos_shifted(x: float) -> float:
 def _psi_15(branch: BranchId, x: float) -> float:
     if branch is BranchId.PRINCIPAL:
         if math.copysign(1.0, x) > 0.0:  # x >= +0.0; -0.0 keeps its sign below
-            s = math.sqrt(x * x + 2.0 * x / 27.0)
-            return 2.5 * math.log(_cbrt(x + 1.0 / 27.0 + s) + _cbrt(x + 1.0 / 27.0 - s) + 1.0 / 3.0)
+            # 2/3*cosh(v/3) + 1/3 == 1 + 4/3*sinh^2(v/6), v = acosh(1+27x)
+            # = 2*asinh(sqrt(13.5x)); sqrt(13.5)*sqrt(x) cannot overflow
+            sh = math.sinh(math.asinh(math.sqrt(13.5) * math.sqrt(x)) / 3.0)
+            return 2.5 * math.log1p(4.0 / 3.0 * sh * sh)
         # 2/3*cos(u/3) + 1/3 == 1 - 4/3*sin^2(u/6), u = acos(1+27x)
         u = _acos_shifted(x)
         return 2.5 * math.log1p(-4.0 / 3.0 * math.sin(u / 6.0) ** 2)

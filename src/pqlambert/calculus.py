@@ -1,6 +1,7 @@
-"""Exact-formula derivatives of the inverse branches via a polynomial
-recurrence, the primitive function, closed-form definite integrals, and
-numeric quadrature for the transition-function integral identity."""
+"""Derivatives of the inverse branches by reversion of the local forward
+series (the paper's polynomial recurrence P_n stays as a cross-check), the
+primitive function, closed-form definite integrals, and numeric
+quadrature for the transition-function integral identity."""
 
 from __future__ import annotations
 
@@ -17,9 +18,12 @@ from .core import (
     ParamKind,
     RangeError,
     SingularityError,
+    _domain_tol,
+    _interior_param,
     as_param,
     branch_constants,
 )
+from .series import _local_coeffs, _revert
 
 __all__ = [
     "PnPolynomial",
@@ -101,9 +105,7 @@ def _pn_cached(a_value: float, nmax: int) -> tuple:
 
 def pn_sequence(a, nmax: int) -> tuple:
     """P_1 .. P_nmax for a fixed asymmetry (cached)."""
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(nmax, int) or not 1 <= nmax <= DERIVATIVE_ORDER_MAX:
         raise ValueError(f"nmax must be in [1, {DERIVATIVE_ORDER_MAX}], got {nmax!r}")
     return _pn_cached(p.a, nmax)
@@ -112,31 +114,35 @@ def pn_sequence(a, nmax: int) -> tuple:
 def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
     """n-th derivative of the selected inverse branch at x.
 
-    Evaluates P_n(cosh(a*psi), sinh(a*psi)) * exp(-n*psi) /
-    (a*cosh(a*psi) + sinh(a*psi))^(2n-1).  The denominator vanishes at the
-    branch point, so x = f_min is rejected as a singularity.  At x = 0 on
-    the principal branch this reduces to P_n(1, 0)/a^(2n-1).
+    Reverts the forward series at w = psi(x), f(w + h) - x = sum_k c_k h^k
+    with c_k = f^(k)(w)/k!, into psi(x + y) - w = sum_m d_m y^m, and
+    returns n!*d_n.  The c_k enter scaled by c_1 = f'(w), and 1/c_1 is
+    applied last, so the result overflows (raising RangeError) only where
+    the derivative itself does.  f'(w) vanishes at the branch point, so
+    x = f_min is rejected as a singularity.  The paper's closed form
+    P_n(cosh(a*psi), sinh(a*psi)) * exp(-n*psi) /
+    (a*cosh(a*psi) + sinh(a*psi))^(2n-1), with P_n from pn_sequence, gives
+    the same values but cancels on the lower branch and near a = 1.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("derivative formula requires 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(n, int) or not 1 <= n <= DERIVATIVE_ORDER_MAX:
         raise ValueError(f"n must be in [1, {DERIVATIVE_ORDER_MAX}], got {n!r}")
     x = float(x)
-    bc = branch_constants(p)
-    if x - bc.f_min <= 8.0 * math.ulp(1.0) * abs(bc.f_min):
+    f_min = branch_constants(p).f_min
+    if x - f_min <= _domain_tol(f_min):
         raise SingularityError(
-            f"derivative is singular at the branch point x = {bc.f_min!r}")
-    psiv = branches.psi(p, branch, x)
-    aa = p.a
-    ch = math.cosh(aa * psiv)
-    sh = math.sinh(aa * psiv)
-    den = aa * ch + sh
-    poly = pn_sequence(p, n)[n - 1]
+            f"derivative is singular at the branch point x = {f_min!r}")
+    w = branches.psi(p, branch, x)
     try:
-        return poly(ch, sh) * math.exp(-n * psiv) / den ** (2 * n - 1)
+        inv_c1, r = _local_coeffs(p.a, w, n)
     except OverflowError as exc:
         raise RangeError(f"derivative magnitude overflows at x = {x!r}") from exc
+    value = math.factorial(n) * _revert(r)[-1]
+    for _ in range(n):  # the partial products lie between the first and the last
+        value *= inv_c1
+    if not math.isfinite(value):
+        raise RangeError(f"derivative magnitude overflows at x = {x!r}")
+    return value
 
 
 def psi_primitive(a, branch: BranchId, x: float) -> float:
@@ -146,14 +152,12 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     with the limits a/(1-a^2) at x=0 (principal) and
     f_min*(w_min - 2/(1-a^2)) at the branch point where coth = -1/a.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("primitive formula requires 0 < a < 1")
+    p = _interior_param(a)
     x = float(x)
     aa = p.a
     one_m = 1.0 - aa * aa
     bc = branch_constants(p)
-    if x - bc.f_min <= 8.0 * math.ulp(1.0) * abs(bc.f_min):
+    if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.f_min * (bc.w_min - 2.0 / one_m)
     if x == 0.0:
         if branch is BranchId.LOWER:
@@ -169,9 +173,7 @@ def integral_psi(a, branch: BranchId) -> float:
     Principal: (a + 2*f_min)/(1-a^2) - f_min*w_min;
     lower:     2*f_min/(1-a^2) - f_min*w_min.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     aa = p.a
     bc = branch_constants(p)
     if branch is BranchId.PRINCIPAL:
@@ -227,9 +229,7 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     substitution x = f_min + t^2; the lower branch additionally maps its
     logarithmic endpoint at 0 through x = -exp(-s).
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     bc = branch_constants(p)
     fmin = bc.f_min
 

@@ -130,6 +130,19 @@ def as_param(a) -> AsymmetryParam:
     return AsymmetryParam(float(a))
 
 
+def _interior_param(a) -> AsymmetryParam:
+    """as_param(a), raising DomainError unless 0 < a < 1."""
+    p = as_param(a)
+    if p.kind is not ParamKind.INTERIOR:
+        raise DomainError(f"requires 0 < a < 1, got a = {p.a!r}")
+    return p
+
+
+def _domain_tol(f_min: float) -> float:
+    """Width of the band above f_min that counts as the branch point."""
+    return 8.0 * _EPS * abs(f_min)
+
+
 @dataclass(frozen=True)
 class BranchConstants:
     """Branch-point data of the forward map for a fixed asymmetry.
@@ -214,9 +227,7 @@ def special_point(a, n: int) -> tuple[float, float]:
     x_n = ((1-a)/(1+a))^(n(1-a)/(2a)) * (((1-a)/(1+a))^n - 1) / 2,
     so that the lower branch satisfies psi(x_n) = n*w_min.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("special points require 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(n, int) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n!r}")
     aa = p.a

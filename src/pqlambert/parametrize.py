@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import AsymmetryParam, DomainError, ParamKind, as_param
+from .core import AsymmetryParam, DomainError, ParamKind, _interior_param, as_param
 
 __all__ = ["AlphaPoint", "param_alpha", "param_beta"]
 
@@ -63,9 +63,7 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
     the alpha -> inf tail loses precision beyond the representation of
     alpha itself.  alpha sweeps (1, inf) onto x in [f_min, 0).
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     alpha = float(alpha)
     if not alpha > 1.0:
         raise DomainError(f"requires alpha > 1, got {alpha!r}")

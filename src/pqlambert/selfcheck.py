@@ -180,8 +180,15 @@ def _suite_derivatives(level):
             h = 1e-6 * max(1.0, abs(x))
             fd = (calculus.psi_primitive(af, core.BranchId.PRINCIPAL, x + h)
                   - calculus.psi_primitive(af, core.BranchId.PRINCIPAL, x - h)) / (2 * h)
-            worst = max(worst, abs(fd - branches.psi(af, core.BranchId.PRINCIPAL, x))
-                        / max(1.0, abs(fd)))
+            w = branches.psi(af, core.BranchId.PRINCIPAL, x)
+            worst = max(worst, abs(fd - w) / max(1.0, abs(fd)))
+            # the paper's P_n formula, well conditioned on the principal branch
+            # at moderate a, against the series reversion
+            ch, sh = math.cosh(af * w), math.sinh(af * w)
+            for n, poly in enumerate(calculus.pn_sequence(af, 8), start=1):
+                want = poly(ch, sh) * math.exp(-n * w) / (af * ch + sh) ** (2 * n - 1)
+                got = calculus.psi_derivative(af, core.BranchId.PRINCIPAL, x, n)
+                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     return worst, 1e-7
 
 

@@ -1,7 +1,9 @@
-"""Series machinery: Taylor expansion of the principal branch at zero via
-Lagrange inversion with Bell polynomials, square-root expansions at the
-branch point, large/small argument asymptotics, and the rigorous two-sided
-envelopes around the logarithmic leading terms."""
+"""Series machinery: one truncated power-series reversion engine and the
+expansions it generates (the Taylor series of the principal branch at
+zero, the square-root expansions at the branch point, the transition
+series, the large/small argument asymptotics, and the local series behind
+calculus.psi_derivative), the partial Bell polynomials, and the rigorous
+two-sided envelopes around the logarithmic leading terms."""
 
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 from .core import (
     AsymmetryParam,
     DomainError,
-    ParamKind,
     UnsupportedError,
-    as_param,
+    _domain_tol,
+    _interior_param,
     branch_constants,
 )
 
@@ -32,8 +34,6 @@ __all__ = [
     "psi1_bounds",
     "taylor_at_zero",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 TAYLOR_ORDER_MAX = 40   # double precision is exhausted well before this
 BRANCH_POINT_ORDER_MAX = 12
@@ -76,38 +76,21 @@ class SeriesExpansion:
         """Evaluate the expansion at the function's natural argument."""
         aa = self.a.a
         if self.kind is SeriesKind.TAYLOR_AT_ZERO:
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = x * (c + acc)
-            return acc
+            return _horner(self.coeffs, x)
         if self.kind in (SeriesKind.BRANCH_POINT_PSI0, SeriesKind.BRANCH_POINT_PSI1):
             bc = branch_constants(self.a)
             t = (x - bc.f_min) / bc.scale
             if t < 0.0:
                 raise DomainError(f"argument below the branch point: {x!r}")
-            s = math.sqrt(t)
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = s * (c + acc)
-            return bc.w_min + acc
+            return bc.w_min + _horner(self.coeffs, math.sqrt(t))
         if self.kind is SeriesKind.BRANCH_POINT_OMEGA:
             bc = branch_constants(self.a)
-            u = x - bc.w_min
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = u * (c + acc)
-            return bc.w_min + acc
+            return bc.w_min + _horner(self.coeffs, x - bc.w_min)
         if self.kind is SeriesKind.ASYMPTOTIC_PSI0:
             y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
-            acc = 0.0
-            for c in reversed(self.coeffs):
-                acc = y * (c + acc)
-            return math.log(2.0 * x) / (1.0 + aa) + acc
+            return math.log(2.0 * x) / (1.0 + aa) + _horner(self.coeffs, y)
         y = (-2.0 * x) ** (2.0 * aa / (1.0 - aa))
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = y * (c + acc)
-        return math.log(-2.0 * x) / (1.0 - aa) + acc
+        return math.log(-2.0 * x) / (1.0 - aa) + _horner(self.coeffs, y)
 
 
 def bell(n: int, k: int, args) -> float:
@@ -143,68 +126,82 @@ def bell(n: int, k: int, args) -> float:
     return table[(n, k)]
 
 
-def _bell_table(m_max: int, args) -> list:
-    """All partial Bell polynomials at once: ``table[m][k]`` = B_{m,k}(args)
-    for 0 <= k <= m <= m_max, by the recurrence, summation order and
-    zero skip of bell(), so every entry equals bell(m, k, args) bit for bit.
+def _horner(coeffs, t: float) -> float:
+    """sum_k coeffs[k-1] * t^k, innermost coefficient first."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = t * (c + acc)
+    return acc
+
+
+def _revert(c, rhs=None) -> list:
+    """Truncated series reversion by undetermined coefficients.
+
+    Returns d_1..d_n (n = len(c)) of the series h(y) = sum_m d_m y^m that
+    solves sum_k c_k h^k = g(y), with c_k = c[k-1] and c_1 != 0, and
+    g(y) = sum_m rhs[m-1] y^m (g(y) = y when rhs is None).  [y^m] h^k for
+    k >= 2 needs only d_1..d_{m-k+1}, so d_m follows from one division;
+    the powers of h are kept and extended by one order per step, O(n^3).
     """
-    table = [[1.0]]
-    for nn in range(1, m_max + 1):
-        row = [0.0]
-        for kk in range(1, nn + 1):
+    n = len(c)
+    g = [1.0] + [0.0] * (n - 1) if rhs is None else rhs
+    d = [0.0] * (n + 1)
+    powers = [None, d] + [[0.0] * (n + 1) for _ in range(n - 1)]  # [y^m] h^k
+    for m in range(1, n + 1):
+        acc = g[m - 1]
+        for k in range(2, m + 1):
+            prev = powers[k - 1]
             s = 0.0
-            for j in range(1, nn - kk + 2):
-                prev = table[nn - j][kk - 1]
-                if prev:
-                    s += math.comb(nn - 1, j - 1) * args[j - 1] * prev
-            row.append(s)
-        table.append(row)
-    return table
+            for j in range(1, m - k + 2):
+                s += d[j] * prev[m - j]
+            powers[k][m] = s
+            acc -= c[k - 1] * s
+        d[m] = acc / c[0]
+    return d[1:]
 
 
-def _lagrange_series_coeffs(f_seq, order: int) -> list:
-    """Coefficients g_n of the inverse series, g(x) = sum g_n x^n / n!.
+def _local_coeffs(a: float, w: float, n: int) -> tuple[float, list]:
+    """Forward series at w: f(a, w + h) - f(a, w) = c_1 * sum_k r_k h^k.
 
-    ``f_seq[n]`` (1-indexed; f_seq[0] ignored) are the forward coefficients
-    in f(w) = sum f_n w^n / n!; requires f_1 != 0.  Implements
-    g_n = f_1^{-n} sum_{k=1}^{n-1} (-1)^k n^(k-rising) B_{n-1,k}(x_1, ...)
-    with x_j = f_{j+1} / ((j+1) f_1), and g_1 = 1/f_1.
+    Returns 1/c_1 and r_1..r_n (r_1 = 1), where c_k = f^(k)(w)/k! =
+    (1-a)^k e^((1-a)w) expm1(t_k) / (2 k!) with t_k = k*L + 2a*w and
+    L = log((1+a)/(1-a)), free of cancellation.  Above the minimizer
+    (t_1 > 0) the same c_k is (1+a)^k e^((1+a)w) (-expm1(-t_k)) / (2 k!).
+    The exponential factor cancels from r_k, so nothing overflows where
+    the inverse series is finite; w = w_min (c_1 = 0) is excluded.
     """
-    f1 = f_seq[1]
-    xs = [f_seq[j + 1] / ((j + 1) * f1) for j in range(1, len(f_seq) - 1)]
-    table = _bell_table(order - 1, xs)
-    g = [0.0, 1.0 / f1]
-    for n in range(2, order + 1):
-        total = 0.0
-        rising = 1.0
-        for k in range(1, n):
-            rising *= (n + k - 1)
-            total += (-1) ** k * rising * table[n - 1][k]
-        g.append(total / f1 ** n)
-    return g
+    lr = math.log1p(a) - math.log1p(-a)
+    tw = 2.0 * a * w
+    if lr + tw < 0.0:
+        base, sgn, log_pre = 1.0 - a, 1.0, (1.0 - a) * w
+    else:
+        base, sgn, log_pre = 1.0 + a, -1.0, (1.0 + a) * w
+    e1 = math.expm1(sgn * (lr + tw))
+    r = [1.0]
+    bk = fact = 1.0
+    for k in range(2, n + 1):
+        bk *= base
+        fact *= k
+        r.append(bk * math.expm1(sgn * (k * lr + tw)) / (fact * e1))
+    return sgn * 2.0 * math.exp(-log_pre) / (base * e1), r
 
 
 def taylor_at_zero(a, order: int) -> SeriesExpansion:
     """Taylor coefficients of the principal branch about x = 0.
 
-    Lagrange inversion of the forward series with f_n = ((1+a)^n-(1-a)^n)/2;
-    the n-th returned entry is the coefficient of x^n (that is, g_n/n!).
-    The radius of convergence is bounded by |f_min|.
+    Reversion of the forward series at w = 0, whose x^k coefficient is
+    ((1+a)^k - (1-a)^k)/(2 k!); the n-th returned entry is the coefficient
+    of x^n.  The radius of convergence is bounded by |f_min|.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("Taylor expansion requires 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(order, int) or not 1 <= order <= TAYLOR_ORDER_MAX:
         raise ValueError(f"order must be in [1, {TAYLOR_ORDER_MAX}], got {order!r}")
-    aa = p.a
-    f_seq = [0.0] + [((1.0 + aa) ** n - (1.0 - aa) ** n) / 2.0
-                     for n in range(1, order + 2)]
-    g = _lagrange_series_coeffs(f_seq, order)
-    fact = 1.0
+    inv_c1, r = _local_coeffs(p.a, 0.0, order)
     coeffs = []
-    for n in range(1, order + 1):
-        fact *= n
-        coeffs.append(g[n] / fact)
+    scale = 1.0
+    for d in _revert(r):
+        scale *= inv_c1
+        coeffs.append(d * scale)
     return SeriesExpansion(
         kind=SeriesKind.TAYLOR_AT_ZERO, a=p, coeffs=tuple(coeffs), order=order,
         arg_transform="x", value_offset="0",
@@ -217,59 +214,25 @@ def derivative_series_check(a) -> list:
     Cross-validation anchor shared with the derivative recurrence:
     0, 1/a, -2/a^2, (9a^2 - a^4)/a^5.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     aa = p.a
     return [0.0, 1.0 / aa, -2.0 / aa ** 2, (9.0 * aa ** 2 - aa ** 4) / aa ** 5]
-
-
-def _poly_mul(pcoef, qcoef, order):
-    out = [0.0] * (order + 1)
-    for i, pi in enumerate(pcoef):
-        if pi == 0.0 or i > order:
-            continue
-        for j, qj in enumerate(qcoef):
-            if i + j > order:
-                break
-            out[i + j] += pi * qj
-    return out
 
 
 def _forward_scaled_coeffs(aa: float, nmax: int) -> list:
     """u_n of (f(a, y + w_min) - f_min)/scale = sum_{n>=2} u_n y^n.
 
     The scaled expansion collapses to u_n = ((1+a)^(n-1)-(1-a)^(n-1))/(2a n!),
-    starting from u_2 = 1/2, independent of the branch constants.
+    starting from u_2 = 1/2, independent of the branch constants.  The
+    difference is summed as its binomial expansion, whose terms
+    C(n-1, j) a^(j-1), j odd, are all positive: no cancellation at any a.
     """
     u = [0.0, 0.0]
     fact = 1.0
     for n in range(2, nmax + 1):
         fact *= n
-        u.append(((1.0 + aa) ** (n - 1) - (1.0 - aa) ** (n - 1)) / (2.0 * aa * fact))
+        u.append(sum(math.comb(n - 1, j) * aa ** (j - 1) for j in range(1, n, 2)) / fact)
     return u
-
-
-def _revert_sqrt(u, order: int, first: float) -> list:
-    """Coefficients h_m of h(s) = sum h_m s^m with u(h(s)) = s^2, h_1 = first.
-
-    Undetermined coefficients order by order: h_m enters [s^{m+1}] only
-    through 2 u_2 h_1 h_m = h_1 h_m, so each order is a linear solve.
-    """
-    h = [0.0, first]
-    for m in range(2, order + 1):
-        hpad = h + [0.0]
-        acc = [0.0] * (m + 2)
-        cur = [1.0]
-        for n in range(1, len(u)):
-            cur = _poly_mul(cur, hpad, m + 1)
-            if n >= 2:
-                un = u[n]
-                if un:
-                    for idx in range(min(len(cur), m + 2)):
-                        acc[idx] += un * cur[idx]
-        h.append(-acc[m + 1] / h[1])
-    return h
 
 
 def _sqrt_series(w, order: int) -> list:
@@ -283,150 +246,97 @@ def _sqrt_series(w, order: int) -> list:
 def branch_point_series(a, which: str, order: int) -> SeriesExpansion:
     """Square-root expansions at the branch point, or the transition series.
 
-    ``which`` selects "psi0"/"psi1" (series in sqrt(t) of
-    psi(a, t*scale + f_min) - w_min, generated by term-by-term reversion of
-    the scaled forward expansion whose quadratic coefficient is 1/2) or
-    "omega" (series in u of omega(a, u + w_min) - w_min, by composition; the
-    scale factor cancels).  psi0 and psi1 are generated independently; the
-    odd-coefficient sign flip between them is a derived identity the
-    tests verify, not an input.
+    With t = (x - f_min)/scale = u(y), y = psi - w_min, and u's quadratic
+    coefficient 1/2, sqrt(t) = |y|*v(y) for the power series
+    v = sqrt(u(y)/y^2).  ``which`` selects "psi0"/"psi1" (series in
+    s = sqrt(t) of psi(a, t*scale + f_min) - w_min, the reversion of
+    s = +y*v(y) and of s = -y*v(y)) or "omega" (series in u of
+    omega(a, u + w_min) - w_min: the root Y of Y*v(Y) = -u*v(u); the scale
+    factor cancels).  psi1 reverts the negated inputs of psi0, so the
+    odd-coefficient sign flip between them holds bit for bit.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("branch-point series require 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(order, int) or not 1 <= order <= BRANCH_POINT_ORDER_MAX:
         raise ValueError(
             f"order must be in [1, {BRANCH_POINT_ORDER_MAX}], got {order!r}")
-    aa = p.a
-    radius_t = 1.0 / ((1.0 - aa) * (1.0 + aa))
-    if which == "psi0":
-        h = _revert_sqrt(_forward_scaled_coeffs(aa, order + 1), order, _SQRT2)
-        return SeriesExpansion(
-            kind=SeriesKind.BRANCH_POINT_PSI0, a=p, coeffs=tuple(h[1:]), order=order,
-            arg_transform="t = (x - f_min)/scale, series in sqrt(t)",
-            value_offset="w_min", valid_radius=radius_t)
-    if which == "psi1":
-        h = _revert_sqrt(_forward_scaled_coeffs(aa, order + 1), order, -_SQRT2)
-        return SeriesExpansion(
-            kind=SeriesKind.BRANCH_POINT_PSI1, a=p, coeffs=tuple(h[1:]), order=order,
-            arg_transform="t = (x - f_min)/scale, series in sqrt(t)",
-            value_offset="w_min", valid_radius=radius_t)
+    if which not in ("psi0", "psi1", "omega"):
+        raise UnsupportedError(f"which must be 'psi0', 'psi1' or 'omega', got {which!r}")
+    v = _sqrt_series(_forward_scaled_coeffs(p.a, order + 1)[2:], order - 1)
     if which == "omega":
-        u = _forward_scaled_coeffs(aa, order + 2)
-        h = _revert_sqrt(u, order, _SQRT2)
-        # sqrt(u(x))/x = v(x) is an ordinary power series; the transition
-        # series is sum_m h_m (-x v(x))^m for x of either sign
-        w = [u[n + 2] for n in range(order)]
-        v = _sqrt_series(w, order - 1)
-        s_series = [0.0] + [-v[k] for k in range(order)]
-        acc = [0.0] * (order + 1)
-        cur = [1.0]
-        for m in range(1, order + 1):
-            cur = _poly_mul(cur, s_series, order)
-            hm = h[m]
-            if hm:
-                for idx in range(len(cur)):
-                    acc[idx] += hm * cur[idx]
         return SeriesExpansion(
-            kind=SeriesKind.BRANCH_POINT_OMEGA, a=p, coeffs=tuple(acc[1:]), order=order,
+            kind=SeriesKind.BRANCH_POINT_OMEGA, a=p,
+            coeffs=tuple(_revert(v, [-c for c in v])), order=order,
             arg_transform="u = z - w_min", value_offset="w_min",
             valid_radius=abs(branch_constants(p).w_min))
-    raise UnsupportedError(f"which must be 'psi0', 'psi1' or 'omega', got {which!r}")
-
-
-def _asym_tail_from_beta(beta_seq, terms: int) -> list:
-    g = _lagrange_series_coeffs(beta_seq, max(terms, 1))
-    fact = 1.0
-    out = []
-    for n in range(1, terms + 1):
-        fact *= n
-        out.append(g[n] / fact)
-    return out
+    kind = SeriesKind.BRANCH_POINT_PSI0
+    if which == "psi1":
+        kind = SeriesKind.BRANCH_POINT_PSI1
+        v = [-c for c in v]
+    return SeriesExpansion(
+        kind=kind, a=p, coeffs=tuple(_revert(v)), order=order,
+        arg_transform="t = (x - f_min)/scale, series in sqrt(t)",
+        value_offset="w_min", valid_radius=1.0 / ((1.0 - p.a) * (1.0 + p.a)))
 
 
 def asymptotic_tail_coeffs(a, which: str, terms: int) -> tuple:
     """Tail coefficients of the asymptotic expansions.
 
     For "psi0" these multiply Y^k with Y = (2x)^(-2a/(1+a)); for "psi1"
-    they multiply Z^k with Z = (-2x)^(2a/(1-a)).  Both come from Lagrange
-    inversion of the corresponding two-exponential kernel.
+    they multiply Z^k with Z = (-2x)^(2a/(1-a)).  Both are the reversion
+    of the two-exponential kernel exp(p*t) - exp(q*t), whose t^k
+    coefficient is (p^k - q^k)/k!, with (p, q) = (2a, a-1) and (-2a, -a-1).
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     cap = 4 if which == "psi0" else 3
     if which not in ("psi0", "psi1"):
         raise UnsupportedError(f"which must be 'psi0' or 'psi1', got {which!r}")
     if not isinstance(terms, int) or not 0 <= terms <= cap:
         raise ValueError(f"terms must be in [0, {cap}], got {terms!r}")
-    if terms == 0:
-        return ()
     aa = p.a
-    if which == "psi0":
-        beta = [0.0] + [(2.0 * aa) ** k - (aa - 1.0) ** k for k in range(1, terms + 2)]
-    else:
-        beta = [0.0] + [(-2.0 * aa) ** k - (-aa - 1.0) ** k
-                        for k in range(1, terms + 2)]
-    return tuple(_asym_tail_from_beta(beta, terms))
+    ep, eq = (2.0 * aa, aa - 1.0) if which == "psi0" else (-2.0 * aa, -aa - 1.0)
+    return tuple(_revert([(ep ** k - eq ** k) / math.factorial(k)
+                          for k in range(1, terms + 1)]))
 
 
 def asymptotic_psi0(a, x: float, terms: int = 3) -> float:
     """Large-x expansion of the principal branch.
 
     log(2x)/(1+a) plus a truncated series in Y = (2x)^(-2a/(1+a)) whose
-    coefficients come from Lagrange inversion of exp(2a*t) - exp((a-1)*t);
+    coefficients come from the reversion of exp(2a*t) - exp((a-1)*t);
     the first three are 1/(1+a), (1-3a)/(2(1+a)^2), (10a^2-7a+1)/(3(1+a)^3).
     Intended for x >= 10; accuracy simply degrades below that.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(terms, int) or not 0 <= terms <= 4:
         raise ValueError(f"terms must be in [0, 4], got {terms!r}")
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"requires x > 0, got {x!r}")
     aa = p.a
-    base = math.log(2.0 * x) / (1.0 + aa)
-    if terms == 0:
-        return base
-    coeffs = asymptotic_tail_coeffs(p, "psi0", terms)
     y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = y * (c + acc)
-    return base + acc
+    return math.log(2.0 * x) / (1.0 + aa) + _horner(asymptotic_tail_coeffs(p, "psi0", terms), y)
 
 
 def asymptotic_psi1(a, x: float, terms: int = 3) -> float:
     """Small-|x| expansion of the lower branch.
 
     log(-2x)/(1-a) plus a truncated series in Z = (-2x)^(2a/(1-a)) from
-    Lagrange inversion of exp(-2a*t) - exp(-(a+1)*t); the first three
+    the reversion of exp(-2a*t) - exp(-(a+1)*t); the first three
     coefficients are 1/(1-a), (1+3a)/(2(1-a)^2), (10a^2+7a+1)/(3(1-a)^3).
     Intended for |x| <= 0.01*|f_min|.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     if not isinstance(terms, int) or not 0 <= terms <= 3:
         raise ValueError(f"terms must be in [0, 3], got {terms!r}")
     x = float(x)
     if not x < 0.0:
         raise DomainError(f"requires x < 0, got {x!r}")
-    bc = branch_constants(p)
-    if x < bc.f_min - 8.0 * math.ulp(1.0) * abs(bc.f_min):
-        raise DomainError(f"x = {x!r} below the branch-point value {bc.f_min!r}")
+    f_min = branch_constants(p).f_min
+    if x < f_min - _domain_tol(f_min):
+        raise DomainError(f"x = {x!r} below the branch-point value {f_min!r}")
     aa = p.a
-    base = math.log(-2.0 * x) / (1.0 - aa)
-    if terms == 0:
-        return base
-    coeffs = asymptotic_tail_coeffs(p, "psi1", terms)
     z = (-2.0 * x) ** (2.0 * aa / (1.0 - aa))
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = z * (c + acc)
-    return base + acc
+    return math.log(-2.0 * x) / (1.0 - aa) + _horner(asymptotic_tail_coeffs(p, "psi1", terms), z)
 
 
 def psi0_bounds(a, x: float) -> tuple[float, float]:
@@ -436,9 +346,7 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
     Both bounds are log(2x)/(1+a) plus a multiple of (2x)^(-2a/(1+a)):
     coefficients (1, 2)/(1+a) for a < 1/3 and (1/3, 1)/(1+a) for a > 1/3.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     aa = p.a
     gap = abs(1.0 / 3.0 - aa)
     if gap == 0.0 or (p.exact is not None and p.exact * 3 == 1):
@@ -464,9 +372,7 @@ def envelope_crossover_estimates(a) -> dict:
     upper bound needs roughly exp(-3.8 + 0.117/a) for a below ~0.102 and
     holds for all positive x above that.
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     aa = p.a
     gap = abs(1.0 / 3.0 - aa)
     out = {"theorem_threshold": math.inf if gap == 0.0 else
@@ -488,9 +394,7 @@ def psi1_bounds(a, x: float) -> tuple[float, float, float]:
     entry is the unconditional lower bound
     log(-2x)/(1-a) - log(1 - (-2x)^(2a/(1-a))).
     """
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError("requires 0 < a < 1")
+    p = _interior_param(a)
     aa = p.a
     x = float(x)
     lo_end = -0.5 * ((1.0 - aa) / (6.0 * aa + 2.0)) ** ((1.0 - aa) / (2.0 * aa))

@@ -46,3 +46,36 @@ def mp50():
 
     mp.mp.dps = 50
     return mp
+
+
+def mp_reversion(c):
+    """Reference reversion by Lagrange inversion at the current mpmath
+    precision: d_1..d_n of h(y) = sum_m d_m y^m with sum_k c_k h^k = y,
+    from d_n = [w^(n-1)] (w/f(w))^n / n, f(w) = sum_k c[k-1] w^k."""
+    import mpmath as mp
+
+    n_max = len(c)
+    q = [1 / c[0]]  # w/f(w)
+    for m in range(1, n_max):
+        q.append(-mp.fsum(c[j] * q[m - j] for j in range(1, m + 1)) / c[0])
+    out, power = [], [mp.mpf(1)] + [mp.mpf(0)] * (n_max - 1)
+    for n in range(1, n_max + 1):
+        power = [mp.fsum(power[i] * q[m - i] for i in range(m + 1)) for m in range(n_max)]
+        out.append(power[n - 1] / n)
+    return out
+
+
+def mp_branch_root(a, x, w0):
+    """Root w of sinh(a*w)*exp(w) = x near w0, by Newton at the current
+    mpmath precision (a, x exact binary values)."""
+    import mpmath as mp
+
+    am, xm, w = mp.mpf(a), mp.mpf(x), mp.mpf(w0)
+    for _ in range(200):
+        f = mp.sinh(am * w) * mp.exp(w) - xm
+        df = (am * mp.cosh(am * w) + mp.sinh(am * w)) * mp.exp(w)
+        step = f / df
+        w -= step
+        if abs(step) <= mp.mpf(2) ** (-mp.mp.prec + 32) * abs(w):
+            return w
+    raise RuntimeError(f"reference Newton did not converge at a={a!r}, x={x!r}")

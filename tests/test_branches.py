@@ -3,10 +3,11 @@ and its finite-n analogue."""
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import geometric_grid, linear_grid
+from conftest import geometric_grid, linear_grid, mp_branch_root
 from pqlambert.core import (
     AsymmetryParam,
     BranchId,
@@ -169,6 +170,22 @@ class TestClosedFormsNearZero:
         for x in (-1e-3, -1e-8, -1e-100, -1e-300):
             got, want = psi_closed_form(a, P, x), psi(a, P, x)
             assert abs(got - want) <= 1e-14 * abs(want), x
+
+
+class TestHyperbolicClosedForms:
+    # x from 1e-300 through the largest doubles: 1/5 takes its sinh/asinh
+    # piece for every x >= +0.0, 1/2 its cosh/acosh piece from sqrt(3)/9 on
+    GRID = ([10.0 ** e for e in range(-300, 307, 7)] + [3.7e306, 1e307, 1.7e308, 1.79e308]
+            + [math.sqrt(3.0) / 9.0 * (1.0 + 10.0 ** -k) for k in range(0, 16)])
+
+    @pytest.mark.parametrize("num, den", [(1, 2), (1, 5)])
+    def test_principal_against_mpmath(self, num, den):
+        a = AsymmetryParam.from_rational(num, den)
+        with mpmath.workdps(50):
+            for x in self.GRID:
+                got = psi_closed_form(a, P, x)
+                ref = mp_branch_root(num / den, x, got)
+                assert abs(got / ref - 1) <= 2e-15, x
 
 
 class TestOmega:

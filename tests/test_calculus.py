@@ -1,20 +1,24 @@
-"""Tests for the derivative recurrence, primitive, and integrals."""
+"""Tests for the branch derivatives, the P_n recurrence, the primitive,
+and the integrals."""
 
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import linear_grid, richardson_derivative
+from conftest import linear_grid, mp_branch_root, mp_reversion, richardson_derivative
 from pqlambert.core import (
     AccuracyError,
     AsymmetryParam,
     BranchId,
     DomainError,
+    RangeError,
     SingularityError,
     branch_constants,
 )
@@ -109,6 +113,52 @@ class TestPsiDerivative:
             got = psi_derivative(a, branch, x, n)
             ref = richardson_derivative(lambda t: psi(a, branch, t), x, n, h)
             assert got == pytest.approx(ref, rel=1e-5)
+
+    @staticmethod
+    def _reference(a, branch, x, n):
+        """n! d_n from a 50-digit root and a Lagrange inversion of the
+        exact local forward series sum_k f^(k)(w)/k! h^k."""
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            w = mp_branch_root(a, x, psi(a, branch, x))
+            w_min = mpmath.log((1 - am) / (1 + am)) / (2 * am)
+            assert (w > w_min) == (branch is P)
+            e_hi, e_lo = mpmath.exp((1 + am) * w), mpmath.exp((1 - am) * w)
+            c = [((1 + am) ** k * e_hi - (1 - am) ** k * e_lo) / (2 * mpmath.factorial(k))
+                 for k in range(1, n + 1)]
+            return mpmath.factorial(n) * mp_reversion(c)[-1]
+
+    @staticmethod
+    def _draws():
+        rng = random.Random(8)
+        cases = [(0.96, LO, -0.3055, 6),  # the P_n formula had the wrong sign
+                 (0.999098200717578, LO, -0.04518533528884556, 2),  # OverflowError
+                 (0.9911805936917298, LO, -0.1294130157812858, 5)]  # RangeError
+        for _ in range(64):
+            a = rng.uniform(0.01, 0.999)
+            f_min = branch_constants(a).f_min
+            if rng.random() < 0.5:
+                branch = P
+                x = (f_min * (1.0 - 10.0 ** rng.uniform(-3.0, -0.01))
+                     if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 2.0))
+            else:
+                branch, x = LO, f_min * rng.uniform(0.01, 0.999)
+            cases.append((a, branch, x, rng.randint(1, 8)))
+        return cases
+
+    def test_against_mpmath_reversion(self):
+        for a, branch, x, n in self._draws():
+            got = psi_derivative(a, branch, x, n)
+            ref = self._reference(a, branch, x, n)
+            assert abs(got / ref - 1) <= 1e-10, (a, branch, x, n)
+
+    def test_overflow_is_a_range_error(self):
+        # psi' = 1/((1-a)x) to leading order near 0 on the lower branch
+        with pytest.raises(RangeError):
+            psi_derivative(0.5, LO, -1e-310, 1)
+        with pytest.raises(RangeError):
+            psi_derivative(0.9, LO, -1e-40, 8)
+        assert psi_derivative(0.5, LO, -1e-300, 1) == pytest.approx(-2e300, rel=1e-12)
 
     def test_singularity_and_validation(self):
         bc = branch_constants(0.5)

@@ -1,13 +1,15 @@
-"""Tests for Bell polynomials, the Taylor generator, branch-point
-expansions, asymptotics, and the bound envelopes."""
+"""Tests for Bell polynomials, the reversion engine and the Taylor,
+branch-point and asymptotic series it generates, and the bound
+envelopes."""
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_tables as gt
-from conftest import geometric_grid, linear_grid
+from conftest import geometric_grid, linear_grid, mp_reversion
 from pqlambert.core import (
     AsymmetryParam,
     BranchId,
@@ -16,7 +18,7 @@ from pqlambert.core import (
     branch_constants,
 )
 from pqlambert.branches import omega, psi
-from pqlambert import series
+from pqlambert import branches, series
 from pqlambert.series import (
     SeriesKind,
     asymptotic_psi0,
@@ -63,54 +65,70 @@ class TestBell:
             bell(-1, 0, [])
 
 
-def per_call_lagrange(f_seq, order):
-    """Reference copy of the original Lagrange inversion loop, which calls
-    bell() (and so rebuilds its table) once per (n, k)."""
-    f1 = f_seq[1]
-    xs = [f_seq[j + 1] / ((j + 1) * f1) for j in range(1, len(f_seq) - 1)]
-    g = [0.0, 1.0 / f1]
-    for n in range(2, order + 1):
-        total = 0.0
-        rising = 1.0
-        for k in range(1, n):
-            rising *= (n + k - 1)
-            total += (-1) ** k * rising * bell(n - 1, k, xs)
-        g.append(total / f1 ** n)
-    return g
+ORACLE_A = [0.05, 0.37, 0.9, 0.95]
 
 
-def _hex(values):
-    return [float(v).hex() for v in values]
+def _taylor_reference(a):
+    """The 40 Taylor coefficients at 0: Lagrange inversion at 50 digits of
+    the forward coefficients ((1+a)^k - (1-a)^k)/(2 k!)."""
+    with mpmath.workdps(50):
+        am = mpmath.mpf(a)
+        c = [((1 + am) ** k - (1 - am) ** k) / (2 * mpmath.factorial(k))
+             for k in range(1, 41)]
+        return tuple(mp_reversion(c))
 
 
-class TestSharedBellTable:
-    @pytest.mark.parametrize("a", [0.05, 0.37, 0.9])
-    def test_taylor_bit_identical_to_per_call_bell(self, a, monkeypatch):
-        # the reference's g_n does not depend on the order asked for, so its
-        # order-40 coefficients are the reference at every lower order too
-        monkeypatch.setattr(series, "_lagrange_series_coeffs", per_call_lagrange)
-        ref = taylor_at_zero(a, 40).coeffs
-        monkeypatch.undo()
-        for order in range(2, 41):
-            assert _hex(taylor_at_zero(a, order).coeffs) == _hex(ref[:order]), order
+def _tail_reference(a, which, terms):
+    """Asymptotic tail coefficients: Lagrange inversion at 50 digits of the
+    kernel exp(p*t) - exp(q*t)."""
+    with mpmath.workdps(50):
+        am = mpmath.mpf(a)
+        ep, eq = (2 * am, am - 1) if which == "psi0" else (-2 * am, -am - 1)
+        return mp_reversion([(ep ** k - eq ** k) / mpmath.factorial(k)
+                             for k in range(1, terms + 1)])
 
-    @pytest.mark.parametrize("a", [0.05, 0.37, 0.9])
-    def test_asymptotic_tail_bit_identical_to_per_call_bell(self, a, monkeypatch):
-        cases = [(which, terms) for which, cap in (("psi0", 4), ("psi1", 3))
-                 for terms in range(1, cap + 1)]
-        monkeypatch.setattr(series, "_lagrange_series_coeffs", per_call_lagrange)
-        ref = [series.asymptotic_tail_coeffs(a, w, t) for w, t in cases]
-        monkeypatch.undo()
-        for (w, t), coeffs in zip(cases, ref):
-            assert _hex(series.asymptotic_tail_coeffs(a, w, t)) == _hex(coeffs), (w, t)
-        # the same kernels to order 40, past the public term caps
-        beta0 = [0.0] + [(2.0 * a) ** k - (a - 1.0) ** k for k in range(1, 42)]
-        beta1 = [0.0] + [(-2.0 * a) ** k - (-a - 1.0) ** k for k in range(1, 42)]
-        for beta in (beta0, beta1):
-            ref = per_call_lagrange(beta, 40)
-            for order in range(2, 41):
-                got = series._lagrange_series_coeffs(beta[:order + 2], order)
-                assert _hex(got) == _hex(ref[:order + 1]), order
+
+class TestReversionAgainstMpmath:
+    @pytest.mark.parametrize("a", ORACLE_A)
+    def test_taylor_matches_mpmath(self, a):
+        ref = _taylor_reference(a)
+        for order in range(1, 41):
+            got = taylor_at_zero(a, order).coeffs
+            for n, (g, r) in enumerate(zip(got, ref), start=1):
+                assert abs(g / r - 1) <= 1e-12, (order, n)
+
+    @pytest.mark.parametrize("a", ORACLE_A)
+    def test_asymptotic_tail_matches_mpmath(self, a):
+        for which, cap in (("psi0", 4), ("psi1", 3)):
+            ref = _tail_reference(a, which, cap)
+            for terms in range(cap + 1):
+                got = series.asymptotic_tail_coeffs(a, which, terms)
+                assert len(got) == terms
+                for g, r in zip(got, ref):
+                    assert abs(g / r - 1) <= 1e-12, (which, terms)
+
+    @pytest.mark.parametrize("a", [0.05, 0.2, 0.37, 0.6, 0.9, 0.99])
+    def test_seed_coefficients_are_the_first_three_tail_terms(self, a):
+        # the solver's hard-coded seeds against the engine's tail terms, at
+        # Y and Z of order one, where the tail is not small
+        c0 = series.asymptotic_tail_coeffs(a, "psi0", 3)
+        c1 = series.asymptotic_tail_coeffs(a, "psi1", 3)
+        f_min = branch_constants(a).f_min
+        for y in (0.9, 0.5, 0.1):
+            x = 0.5 * y ** (-(1.0 + a) / (2.0 * a))
+            base = math.log(2.0 * x) / (1.0 + a)
+            yy = (2.0 * x) ** (-2.0 * a / (1.0 + a))
+            want = sum(c * yy ** k for k, c in enumerate(c0, start=1))
+            tol = 8 * math.ulp(max(1.0, abs(base)))
+            assert abs(branches._asym0_seed(a, x) - base - want) <= tol
+            xl = -0.5 * y ** ((1.0 - a) / (2.0 * a))
+            if xl < f_min:
+                continue
+            base = math.log(-2.0 * xl) / (1.0 - a)
+            zz = (-2.0 * xl) ** (2.0 * a / (1.0 - a))
+            want = sum(c * zz ** k for k, c in enumerate(c1, start=1))
+            tol = 8 * math.ulp(max(1.0, abs(base)))
+            assert abs(branches._asym1_seed(a, xl) - base - want) <= tol
 
 
 class TestTaylorAtZero:
