@@ -19,10 +19,10 @@ def newton_bracketed(fun, lo: float, hi: float, seed: float,
     least halves the previous step (otherwise the step bisects), so
     convergence is unconditional.  Iterates to machine resolution in w.
     """
+    eps = _EPS
     sign = 1.0 if increasing else -1.0
     w = min(max(seed, lo), hi)
-    dx_old = abs(hi - lo)
-    dx = dx_old
+    dx = dx_old = abs(hi - lo)
     for _ in range(max_iter):
         g, dg = fun(w)
         if g == 0.0:
@@ -31,17 +31,14 @@ def newton_bracketed(fun, lo: float, hi: float, seed: float,
             hi = w
         else:
             lo = w
-        newton_ok = dg != 0.0
-        if newton_ok:
+        if dg != 0.0:
             cand = w - g / dg
             if not lo <= cand <= hi or abs(2.0 * g) > abs(dx_old * dg):
-                newton_ok = False
-        if not newton_ok:
+                cand = 0.5 * (lo + hi)
+        else:
             cand = 0.5 * (lo + hi)
         dx_old, dx = dx, abs(cand - w)
-        if dx <= _EPS * (abs(w) + abs(cand)):
-            return cand
-        if hi - lo <= _EPS * (abs(lo) + abs(hi)):
+        if dx <= eps * (abs(w) + abs(cand)) or hi - lo <= eps * (abs(lo) + abs(hi)):
             return cand
         w = cand
     raise ConvergenceError(

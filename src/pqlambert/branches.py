@@ -13,14 +13,16 @@ from fractions import Fraction
 from ._rootfind import newton_bracketed
 from .core import (
     AsymmetryParam,
+    BranchConstants,
     BranchId,
     ConvergenceError,
     DomainError,
     ParamKind,
+    RangeError,
     UnsupportedError,
+    _constants_for,
     _domain_tol,
     as_param,
-    branch_constants,
     forward,
     lambert_w,
 )
@@ -38,6 +40,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
 _LN2 = math.log(2.0)
+_LOG_DBL_MAX = 709.78  # math.exp and math.expm1 overflow just above 709.7827
 
 
 class ClosedFormTag(enum.Enum):
@@ -60,7 +63,10 @@ class ClosedFormTag(enum.Enum):
         return cls.NONE
 
 
-def _check_branch_domain(p: AsymmetryParam, branch: BranchId, x: float) -> None:
+def _check_branch_domain(p: AsymmetryParam, branch: BranchId,
+                         x: float) -> BranchConstants | None:
+    """Raise DomainError unless x lies on the branch; return the branch
+    constants of a (the call's one lookup), or None at a = 1."""
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     if p.kind is ParamKind.ZERO_LIMIT:
@@ -72,13 +78,13 @@ def _check_branch_domain(p: AsymmetryParam, branch: BranchId, x: float) -> None:
             raise DomainError("the lower branch does not exist at a=1")
         if x <= -0.5:
             raise DomainError(f"principal branch at a=1 requires x > -1/2, got {x!r}")
-        return
-    bc = branch_constants(p)
-    tol = _domain_tol(bc.f_min)
-    if x < bc.f_min - tol:
+        return None
+    bc = _constants_for(p.a)
+    if x < bc.f_min - _domain_tol(bc.f_min):
         raise DomainError(f"x = {x!r} below the branch-point value L_a = {bc.f_min!r}")
     if branch is BranchId.LOWER and x >= 0.0:
         raise DomainError(f"lower branch requires x < 0, got {x!r}")
+    return bc
 
 
 @dataclass(frozen=True)
@@ -105,9 +111,11 @@ def _bp_seed(bc, t: float, sign: float, a: float) -> float:
 
 def _asym0_seed(a: float, x: float) -> float:
     """Three-term large-x expansion of the principal branch."""
-    y = (2.0 * x) ** (-2.0 * a / (1.0 + a))
+    two_x = 2.0 * x
+    log_2x = math.log(two_x) if two_x < math.inf else math.log(x) + _LN2
+    y = two_x ** (-2.0 * a / (1.0 + a))
     ap1 = 1.0 + a
-    return (math.log(2.0 * x) / ap1 + y / ap1
+    return (log_2x / ap1 + y / ap1
             + (1.0 - 3.0 * a) * y * y / (2.0 * ap1 * ap1)
             + (10.0 * a * a - 7.0 * a + 1.0) * y ** 3 / (3.0 * ap1 ** 3))
 
@@ -121,12 +129,10 @@ def _asym1_seed(a: float, x: float) -> float:
             + (10.0 * a * a + 7.0 * a + 1.0) * z ** 3 / (3.0 * am1 ** 3))
 
 
-def _solve_branch(p: AsymmetryParam, branch: BranchId, x: float) -> float:
-    a = p.a
-    bc = branch_constants(p)
-    fmin, wmin, scale = bc.f_min, bc.w_min, bc.scale
-    tol = _domain_tol(fmin)
-    if x - fmin <= tol:
+def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> float:
+    """Branch value at a validated x for 0 < a < 1, given the constants bc of a."""
+    fmin, wmin, scale = bc
+    if x - fmin <= _domain_tol(fmin):
         return wmin
 
     def g(w):
@@ -143,9 +149,11 @@ def _solve_branch(p: AsymmetryParam, branch: BranchId, x: float) -> float:
             if t <= 0.6 * t_max:
                 seed = _bp_seed(bc, t, 1.0, a)
             else:
-                # |x| < 0.4|L_a| < radius of the Taylor series at 0
+                # |x| < 0.4|L_a| < radius of the Taylor series at 0; below
+                # a = 1e-150 its higher terms overflow, and the first one seeds
                 u = x / a
-                seed = u - u * u / a + (9.0 - a * a) * u ** 3 / (6.0 * a * a)
+                seed = (u - u * u / a + (9.0 - a * a) * u ** 3 / (6.0 * a * a)
+                        if a > 1e-150 else u)
             return newton_bracketed(g, wmin, 0.0, seed, increasing=True)
         if x >= 10.0:
             seed = _asym0_seed(a, x)
@@ -155,13 +163,14 @@ def _solve_branch(p: AsymmetryParam, branch: BranchId, x: float) -> float:
             seed = _asym0_seed(a, x)
         else:
             seed = 0.5 * math.log1p(2.0 * x)  # elementary a=1 lower bound
-        hi = max(seed, 0.0) + 1.0
+        # g raises OverflowError once (1-a)*w or 2a*w passes log(DBL_MAX)
+        w_cap = _LOG_DBL_MAX / max(1.0 - a, 2.0 * a)
+        hi = min(max(seed, 0.0) + 1.0, w_cap)
         step = 1.0
-        while True:
-            gh, _ = g(hi)
-            if gh >= 0.0:
-                break
-            hi += step
+        while g(hi)[0] < 0.0:
+            if hi == w_cap:
+                raise RangeError(f"psi({x!r}) lies beyond w = {w_cap!r}, where f overflows")
+            hi = min(hi + step, w_cap)
             step *= 2.0
         return newton_bracketed(g, 0.0, hi, seed, increasing=True)
     # lower branch: monotone decreasing on (-inf, w_min]
@@ -171,10 +180,7 @@ def _solve_branch(p: AsymmetryParam, branch: BranchId, x: float) -> float:
         seed = _asym1_seed(a, x)
     lo = min(seed, wmin) - 1.0
     step = 1.0
-    while True:
-        gl, _ = g(lo)
-        if gl >= 0.0:
-            break
+    while g(lo)[0] < 0.0:
         lo -= step
         step *= 2.0
     return newton_bracketed(g, lo, wmin, seed, increasing=False)
@@ -192,10 +198,10 @@ def psi(a, branch: BranchId, x: float) -> float:
     """
     p = as_param(a)
     x = float(x)
-    _check_branch_domain(p, branch, x)
+    bc = _check_branch_domain(p, branch, x)
     if p.kind is ParamKind.ONE_LIMIT:
         return 0.5 * math.log1p(2.0 * x)
-    return _solve_branch(p, branch, x)
+    return _solve_branch(p.a, bc, branch, x)
 
 
 def _cbrt(t: float) -> float:
@@ -325,10 +331,9 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
             "closed forms exist only for a in {1/3, 1/2, 1/5, 3/5, 1/7} "
             "constructed as exact rationals")
     x = float(x)
-    _check_branch_domain(p, branch, x)
+    bc = _check_branch_domain(p, branch, x)
     # same treatment of the branch-point neighborhood as the generic solver,
     # so the two routes agree where the square-root sensitivity blows up
-    bc = branch_constants(p)
     if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.w_min
     return _CLOSED_FORMS[tag](branch, x)
@@ -355,15 +360,16 @@ def omega(a, z: float) -> float:
         if z < -1.0:
             return lambert_w(BranchId.PRINCIPAL, x)
         return lambert_w(BranchId.LOWER, x)
-    wmin = branch_constants(p).w_min
+    bc = _constants_for(p.a)
+    wmin = bc.w_min
     if z == wmin:
         return wmin
     x = forward(p, z)
     if z < wmin:
-        return _solve_branch(p, BranchId.PRINCIPAL, x)
+        return _solve_branch(p.a, bc, BranchId.PRINCIPAL, x)
     if abs(x) < sys.float_info.min:
         return _omega_lower_log(p.a, z)
-    return _solve_branch(p, BranchId.LOWER, x)
+    return _solve_branch(p.a, bc, BranchId.LOWER, x)
 
 
 def _log1m_exp(u: float) -> float:

@@ -128,11 +128,11 @@ def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
     if not isinstance(n, int) or not 1 <= n <= DERIVATIVE_ORDER_MAX:
         raise ValueError(f"n must be in [1, {DERIVATIVE_ORDER_MAX}], got {n!r}")
     x = float(x)
-    f_min = branch_constants(p).f_min
-    if x - f_min <= _domain_tol(f_min):
+    bc = branches._check_branch_domain(p, branch, x)
+    if x - bc.f_min <= _domain_tol(bc.f_min):
         raise SingularityError(
-            f"derivative is singular at the branch point x = {f_min!r}")
-    w = branches.psi(p, branch, x)
+            f"derivative is singular at the branch point x = {bc.f_min!r}")
+    w = branches._solve_branch(p.a, bc, branch, x)
     try:
         inv_c1, r = _local_coeffs(p.a, w, n)
     except OverflowError as exc:

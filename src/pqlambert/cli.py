@@ -149,7 +149,7 @@ def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
                 rec.update(n=n_value, z=z, value=value,
                            residual=abs(pqbinom.equal_ratio_residual(params, k)))
         _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
-    except core.DomainError as exc:
+    except (core.DomainError, core.RangeError) as exc:
         _die_domain(str(exc))
 
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 __all__ = [
     "AccuracyError",
@@ -93,6 +94,7 @@ class AsymmetryParam:
 
     a: float
     exact: Fraction | None = None
+    kind: ParamKind = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = self.a
@@ -106,26 +108,21 @@ class AsymmetryParam:
         object.__setattr__(self, "a", a)
         if self.exact is not None and float(self.exact) != a:
             raise DomainError("exact rational does not match the float value")
+        object.__setattr__(self, "kind", ParamKind.ZERO_LIMIT if a == 0.0 else
+                           ParamKind.ONE_LIMIT if a == 1.0 else ParamKind.INTERIOR)
 
     @classmethod
     def from_rational(cls, num: int, den: int) -> "AsymmetryParam":
         frac = Fraction(num, den)
         return cls(float(frac), frac)
 
-    @property
-    def kind(self) -> ParamKind:
-        if self.a == 0.0:
-            return ParamKind.ZERO_LIMIT
-        if self.a == 1.0:
-            return ParamKind.ONE_LIMIT
-        return ParamKind.INTERIOR
-
 
 def as_param(a) -> AsymmetryParam:
     """Coerce a float, Fraction, or AsymmetryParam into an AsymmetryParam."""
     if isinstance(a, AsymmetryParam):
         return a
-    if isinstance(a, Fraction):
+    # a float is never a Fraction; the test against the Fraction ABC is slow
+    if not isinstance(a, float) and isinstance(a, Fraction):
         return AsymmetryParam(float(a), a)
     return AsymmetryParam(float(a))
 
@@ -143,8 +140,7 @@ def _domain_tol(f_min: float) -> float:
     return 8.0 * _EPS * abs(f_min)
 
 
-@dataclass(frozen=True)
-class BranchConstants:
+class BranchConstants(NamedTuple):
     """Branch-point data of the forward map for a fixed asymmetry.
 
     ``f_min`` is the (negative) minimum value attained at ``w_min``;
@@ -198,12 +194,12 @@ def forward_dw(a, w: float) -> float:
 def _constants_for(a: float) -> BranchConstants:
     if a == 0.0:
         # Lambert limit: constants of w*exp(w), whose branch point is (-1/e, -1).
-        return BranchConstants(f_min=-INV_E, w_min=-1.0, scale=INV_E)
+        return BranchConstants(-INV_E, -1.0, INV_E)
     log_ratio = math.log1p(-a) - math.log1p(a)  # log((1-a)/(1+a))
     w_min = log_ratio / (2.0 * a)
     f_min = -a / math.sqrt((1.0 - a) * (1.0 + a)) * math.exp(log_ratio / (2.0 * a))
     scale = f_min * (a * a - 1.0)
-    return BranchConstants(f_min=f_min, w_min=w_min, scale=scale)
+    return BranchConstants(f_min, w_min, scale)
 
 
 def branch_constants(a) -> BranchConstants:

@@ -1,0 +1,133 @@
+"""Bit-identity pin of the scalar solve path.
+
+``bit_identity_pins.json`` holds, for a seeded grid of calls to ``psi``
+(both branches, every seed region), ``omega``, ``omega_finite_n`` and
+``psi_derivative`` (orders 1-8), the exact result as ``float.hex`` (or the
+name of the exception raised).  The test replays every call and requires
+the same bits, so a refactor of the solve path that claims to change no
+floating-point operation is held to that claim.
+
+The grid leaves out a < 1e-150 and x > DBL_MAX/2, and the file leaves
+out the calls that leaked a bare ``OverflowError`` or
+``ZeroDivisionError`` or returned inf when it was recorded: those are the
+tiny-a and top-of-range defects, tested against mpmath instead
+(tests/test_branches.py).  After an intended numerical change, regenerate
+the file with ``PYTHONPATH=src python tests/test_bit_identity.py`` and
+state the change.
+"""
+
+import json
+import math
+import os
+import random
+
+import pytest
+
+from pqlambert.branches import omega, omega_finite_n, psi
+from pqlambert.calculus import psi_derivative
+from pqlambert.core import BranchId, branch_constants
+
+PIN_FILE = os.path.join(os.path.dirname(__file__), "bit_identity_pins.json")
+FUNCTIONS = {"psi": psi, "omega": omega, "omega_finite_n": omega_finite_n,
+             "psi_derivative": psi_derivative}
+BRANCHES = {"principal": BranchId.PRINCIPAL, "lower": BranchId.LOWER}
+LEAKS = ("!OverflowError", "!ZeroDivisionError", float.hex(math.inf))
+
+
+def _log_uniform(rng, lo_exp, hi_exp):
+    return 10.0 ** rng.uniform(lo_exp, hi_exp)
+
+
+def _draw_a(rng):
+    r = rng.random()
+    if r < 0.15:
+        return _log_uniform(rng, -12, -2)
+    if r < 0.3:
+        return 1.0 - _log_uniform(rng, -9, -2)
+    return rng.uniform(0.01, 0.99)
+
+
+def _branch_xs(rng, f_min):
+    """x values per branch, covering every seed region of the solver."""
+    near = [f_min * (1.0 - _log_uniform(rng, -9, -2)) for _ in range(3)]
+    mid = [f_min * rng.uniform(0.05, 0.95) for _ in range(3)]
+    tiny = [-_log_uniform(rng, -300, -3) for _ in range(2)]
+    principal = (near + mid + tiny + [rng.uniform(0.0, 1.0), rng.uniform(1.0, 10.0),
+                                      _log_uniform(rng, 1, 300), _log_uniform(rng, 300, 307)])
+    lower = near + mid + tiny
+    return {"principal": principal, "lower": lower}
+
+
+def grid(seed=20261018, count=32):
+    """The pinned calls as (function name, args), args in JSON-able form."""
+    rng = random.Random(seed)
+    calls = []
+    for _ in range(count):
+        a = _draw_a(rng)
+        f_min = branch_constants(a).f_min
+        for br, xs in _branch_xs(rng, f_min).items():
+            for x in xs:
+                calls.append(("psi", [a, br, x]))
+            for n in range(1, 9):
+                x = xs[rng.randrange(len(xs))]
+                calls.append(("psi_derivative", [a, br, x, n]))
+        w_min = branch_constants(a).w_min
+        for z in (w_min * rng.uniform(1.01, 3.0), w_min * rng.uniform(0.05, 0.99),
+                  -_log_uniform(rng, -300, -1), -_log_uniform(rng, 1, 3)):
+            calls.append(("omega", [a, z]))
+        if 0.01 <= a <= 0.99:
+            n = rng.choice((16, 256, 4096, 65536))
+            calls.append(("omega_finite_n", [n, a, w_min * rng.uniform(1.1, 3.0)]))
+    return calls
+
+
+def _encode(value):
+    return float.hex(value) if isinstance(value, float) else value
+
+
+def _decode(value):
+    return float.fromhex(value) if isinstance(value, str) and "0x" in value else value
+
+
+def _run(name, args):
+    args = [BRANCHES.get(v, v) if isinstance(v, str) else v for v in args]
+    try:
+        return float.hex(FUNCTIONS[name](*args))
+    except Exception as exc:  # the pin records which error a call raises
+        return f"!{type(exc).__name__}"
+
+
+def _load():
+    with open(PIN_FILE) as fh:
+        return json.load(fh)
+
+
+def test_pin_covers_every_pinned_function():
+    names = {entry["fn"] for entry in _load()}
+    assert names == set(FUNCTIONS)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_results_are_bit_identical(name):
+    mismatches = []
+    for entry in _load():
+        if entry["fn"] != name:
+            continue
+        args = [_decode(v) for v in entry["args"]]
+        got = _run(name, args)
+        if got != entry["result"]:
+            mismatches.append((args, entry["result"], got))
+    assert not mismatches, mismatches[:5]
+
+
+def main():
+    pins = [{"fn": name, "args": [_encode(v) for v in args], "result": _run(name, args)}
+            for name, args in grid()]
+    pins = [pin for pin in pins if pin["result"] not in LEAKS]
+    with open(PIN_FILE, "w") as fh:
+        fh.write("[\n" + ",\n".join(json.dumps(pin) for pin in pins) + "\n]\n")
+    print(f"wrote {len(pins)} pins to {PIN_FILE}")
+
+
+if __name__ == "__main__":
+    main()

@@ -2,16 +2,20 @@
 and its finite-n analogue."""
 
 import math
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import geometric_grid, linear_grid, mp_branch_root
+from pqlambert import core
+from pqlambert.calculus import psi_derivative
 from pqlambert.core import (
     AsymmetryParam,
     BranchId,
     DomainError,
+    RangeError,
     UnsupportedError,
     branch_constants,
     forward,
@@ -108,6 +112,79 @@ class TestPsi:
                     assert dev < prev
                 prev = dev
             assert prev < 1e-6
+
+
+class TestTinyAAndTopOfRange:
+    """Inputs where the solver used to leak ZeroDivisionError or
+    OverflowError, or return inf, against 50-digit mpmath roots."""
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-200, 1e-160, 1e-155])
+    def test_principal_taylor_disc_at_tiny_a(self, a, mp50):
+        # psi(a, x) -> W0(x/a) as a -> 0; W0(-0.01) = -0.010101527198538752
+        value = psi(a, P, -0.01 * a)
+        ref = mp_branch_root(a, -0.01 * a, value)
+        assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
+        if a == 1e-300:
+            assert value == pytest.approx(-0.010101527198538752, rel=4e-16)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-160])
+    def test_omega_at_tiny_a(self, a, mp50):
+        value = omega(a, -5.0)
+        am, zm = mp50.mpf(a), mp50.mpf(-5.0)
+        ref = mp_branch_root(a, mp50.sinh(am * zm) * mp50.exp(zm), value)
+        assert abs(value - float(ref)) <= 4.0 * math.ulp(value)
+        assert value == pytest.approx(-0.034885768255723696, rel=1e-15)
+
+    def test_principal_bracket_at_tiny_a(self, mp50):
+        value = psi(1e-300, P, 1.0)
+        ref = mp_branch_root(1e-300, 1.0, value)
+        assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
+        assert value == pytest.approx(684.24720862976085, rel=4e-16)
+
+    def test_root_beyond_the_overflow_point_is_a_range_error(self):
+        # w*e^w = 1e320 needs w > 709.78, where exp((1-a)w) overflows
+        with pytest.raises(RangeError):
+            psi(1e-300, P, 1e20)
+        # near a = 1 the factor expm1(2a*w) overflows below the root
+        with pytest.raises(RangeError):
+            psi(0.9999, P, sys.float_info.max)
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 0.998])
+    @pytest.mark.parametrize("x", [sys.float_info.max / 2.0, 1e308, sys.float_info.max])
+    def test_top_of_range(self, a, x, mp50):
+        # 2x overflows above DBL_MAX/2
+        value = psi(a, P, x)
+        ref = mp_branch_root(a, x, value)
+        assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
+        # psi' = 1/f'(psi(x))
+        am, wm = mp50.mpf(a), ref
+        dref = 1 / ((am * mp50.cosh(am * wm) + mp50.sinh(am * wm)) * mp50.exp(wm))
+        assert psi_derivative(a, P, x, 1) == pytest.approx(float(dref), rel=1e-14)
+
+
+class TestOneLookupPerCall:
+    """A scalar call validates a once and looks up its branch constants
+    once, also when a is new to the constants cache."""
+
+    @staticmethod
+    def _lookups(call):
+        core._constants_for.cache_clear()
+        call()
+        info = core._constants_for.cache_info()
+        return info.hits + info.misses
+
+    @pytest.mark.parametrize("call", [
+        lambda: psi(0.37, P, 0.5),
+        lambda: psi(0.37, LO, -0.05),
+        lambda: psi(0.37, P, -0.01),
+        lambda: omega(0.37, -3.0),
+        lambda: omega(0.37, -0.5),
+        lambda: psi_closed_form(AsymmetryParam.from_rational(1, 3), P, 0.5),
+        lambda: psi_closed_form(AsymmetryParam.from_rational(1, 2), LO, -0.1),
+        lambda: psi_derivative(0.37, LO, -0.05, 3),
+    ])
+    def test_one_constants_lookup(self, call):
+        assert self._lookups(call) == 1
 
 
 class TestClosedForms:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from pqlambert.core import (
     AsymmetryParam,
+    BranchConstants,
     BranchId,
     DomainError,
     ParamKind,
@@ -39,6 +40,19 @@ class TestAsymmetryParam:
         a = AsymmetryParam.from_rational(1, 3)
         assert a.exact == Fraction(1, 3)
         assert a.a == float(Fraction(1, 3))
+
+    def test_equality_hash_and_repr(self):
+        # kind is derived at construction and takes no part in any of them
+        assert AsymmetryParam(0.5) == AsymmetryParam(0.5)
+        assert AsymmetryParam(0.5) != AsymmetryParam.from_rational(1, 2)
+        p = AsymmetryParam.from_rational(1, 3)
+        assert hash(p) == hash((p.a, p.exact))
+        assert repr(AsymmetryParam(0.25)) == "AsymmetryParam(a=0.25, exact=None)"
+        assert repr(p) == "AsymmetryParam(a=0.3333333333333333, exact=Fraction(1, 3))"
+        with pytest.raises(TypeError):
+            AsymmetryParam(0.5, None, ParamKind.INTERIOR)
+        with pytest.raises(AttributeError):
+            p.kind = ParamKind.ZERO_LIMIT
 
     def test_as_param_passthrough(self):
         a = AsymmetryParam(0.25)
@@ -90,6 +104,13 @@ class TestForward:
 
 
 class TestBranchConstants:
+    def test_record_fields(self):
+        bc = branch_constants(0.5)
+        assert (bc.f_min, bc.w_min, bc.scale) == tuple(bc)
+        assert BranchConstants(f_min=bc.f_min, w_min=bc.w_min, scale=bc.scale) == bc
+        with pytest.raises(AttributeError):
+            bc.f_min = 0.0
+
     def test_one_third(self):
         bc = branch_constants(AsymmetryParam.from_rational(1, 3))
         assert bc.f_min == pytest.approx(-0.125, rel=1e-15)
