@@ -20,6 +20,8 @@ from .core import (
     ParamKind,
     RangeError,
     UnsupportedError,
+    _LN2,
+    _LOG_DBL_MAX,
     _constants_for,
     _domain_tol,
     as_param,
@@ -39,8 +41,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_LN2 = math.log(2.0)
-_LOG_DBL_MAX = 709.78  # math.exp and math.expm1 overflow just above 709.7827
 
 
 class ClosedFormTag(enum.Enum):
@@ -336,7 +336,13 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
     # so the two routes agree where the square-root sensitivity blows up
     if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.w_min
-    return _CLOSED_FORMS[tag](branch, x)
+    try:
+        w = _CLOSED_FORMS[tag](branch, x)
+    except (ArithmeticError, ValueError):
+        w = math.nan
+    # where a radical of the 1/3, 3/5 or 1/7 forms leaves the double range
+    # (x near the largest double, or just below 0) the solver takes over
+    return w if math.isfinite(w) else _solve_branch(p.a, bc, branch, x)
 
 
 def omega(a, z: float) -> float:

@@ -4,20 +4,19 @@ files, and run the self-check suites.
 
 All numeric logic lives in the library modules; the commands only parse
 arguments, dispatch, and serialize.  Floats are rendered with 17
-significant digits so every emitted value round-trips bit-exactly.
+significant digits so every emitted value round-trips bit-exactly.  Each
+verb imports the library modules it runs when it runs, so a process
+loads only what its verb needs.
 """
 
 from __future__ import annotations
 
-import json
+import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 
-import click
-
-from . import branches, calculus, core, pqbinom, selfcheck, series
+from . import branches, core
 
 EXIT_DOMAIN = 2
 
@@ -34,6 +33,8 @@ def _emit_records(records, fieldnames, fmt, out):
         for rec in records:
             out.write(",".join(_fmt(rec.get(k, "")) for k in fieldnames) + "\n")
     else:
+        import json
+
         for rec in records:
             parts = []
             for k in fieldnames:
@@ -58,16 +59,48 @@ def _parse_a(text: str) -> core.AsymmetryParam:
 
 
 def _die_domain(message: str):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_DOMAIN)
 
 
-@click.group()
-def main():
-    """Inverse branches of sinh(a*w)*exp(w), their transition function,
-    and p,q-binomial distribution tools."""
+class _Command:
+    """One verb: the function that runs it and the arguments of its
+    sub-parser.  ``callback`` is read at dispatch time, so a wrapper set on
+    it sees every call."""
+
+    def __init__(self, callback, arguments):
+        self.callback = callback
+        self.doc = callback.__doc__
+        self.arguments = arguments
 
 
+_COMMANDS: dict[str, _Command] = {}
+
+
+def _command(name, *arguments):
+    def register(fn):
+        _COMMANDS[name] = _Command(fn, arguments)
+        return fn
+    return register
+
+
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _a_arg(**kwargs):
+    return _arg("--a", dest="a_text", metavar="A", **kwargs)
+
+
+def _writable_path(text: str) -> str:
+    """An --out path; if it exists it must be readable and writable."""
+    if os.path.exists(text) and not os.access(text, os.R_OK | os.W_OK):
+        raise argparse.ArgumentTypeError(f"path {text!r} is not writable")
+    return text
+
+
+_FORMAT = _arg("--format", dest="fmt", choices=("csv", "json"), default="csv")
+_BRANCH = ("principal", "lower")
 _EVAL_FUNCTIONS = ("f", "psi", "psi0", "psi1", "omega", "omega_n", "W0", "Wm1")
 
 
@@ -85,15 +118,17 @@ def _resolve_branch(function, branch_name):
     return function
 
 
-@main.command("eval")
-@click.argument("function", type=click.Choice(_EVAL_FUNCTIONS))
-@click.option("--a", "a_text", default=None, help="asymmetry, decimal or exact 'num/den'")
-@click.option("--x", type=float, default=None, help="abscissa for f/psi0/psi1/W0/Wm1 (w for f)")
-@click.option("--z", type=float, default=None, help="argument for omega/omega_n")
-@click.option("--n", "n_value", type=int, default=None, help="sequence length for omega_n")
-@click.option("--branch", "branch_name", type=click.Choice(["principal", "lower"]),
-              default=None, help="branch selector for the generic 'psi'")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_command(
+    "eval",
+    _arg("function", choices=_EVAL_FUNCTIONS),
+    _a_arg(help="asymmetry, decimal or exact 'num/den'"),
+    _arg("--x", type=float, help="abscissa for f/psi0/psi1/W0/Wm1 (w for f)"),
+    _arg("--z", type=float, help="argument for omega/omega_n"),
+    _arg("--n", dest="n_value", type=int, help="sequence length for omega_n"),
+    _arg("--branch", dest="branch_name", choices=_BRANCH,
+         help="branch selector for the generic 'psi'"),
+    _FORMAT,
+)
 def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
     """Evaluate one function value with a residual diagnostic."""
     try:
@@ -143,6 +178,8 @@ def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
             else:  # omega_n
                 if z is None or n_value is None:
                     raise core.DomainError("--z and --n are required")
+                from . import pqbinom
+
                 value = branches.omega_finite_n(n_value, a, z)
                 params = pqbinom.PqParams.from_transition(n_value, a, z, value)
                 k = round(n_value * (1.0 - a.a) / 2.0)
@@ -165,18 +202,18 @@ def _sweep_grid(lo, hi, count, scale):
     return [sgn * math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
 
 
-@main.command("sweep")
-@click.argument("function", type=click.Choice(("f", "psi", "psi0", "psi1", "omega",
-                                               "W0", "Wm1")))
-@click.option("--a", "a_text", default=None)
-@click.option("--lo", type=float, required=True)
-@click.option("--hi", type=float, required=True)
-@click.option("--count", type=int, default=101)
-@click.option("--scale", type=click.Choice(["linear", "log"]), default="linear")
-@click.option("--branch", "branch_name", type=click.Choice(["principal", "lower"]),
-              default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", type=click.Path(writable=True), default=None)
+@_command(
+    "sweep",
+    _arg("function", choices=("f", "psi", "psi0", "psi1", "omega", "W0", "Wm1")),
+    _a_arg(),
+    _arg("--lo", type=float, required=True),
+    _arg("--hi", type=float, required=True),
+    _arg("--count", type=int, default=101),
+    _arg("--scale", choices=("linear", "log"), default="linear"),
+    _arg("--branch", dest="branch_name", choices=_BRANCH),
+    _FORMAT,
+    _arg("--out", type=_writable_path),
+)
 def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
     """Evaluate a function on a grid; domain violations flag the row."""
     try:
@@ -229,17 +266,20 @@ def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
         _emit_records(records, fieldnames, fmt, sys.stdout)
 
 
-@main.command("series")
-@click.option("--a", "a_text", required=True)
-@click.option("--kind", type=click.Choice(["taylor", "branch-psi0", "branch-psi1",
-                                           "branch-omega", "asym-psi0", "asym-psi1"]),
-              default="taylor")
-@click.option("--order", type=int, default=10)
-@click.option("--terms", type=int, default=None,
-              help="truncation order for the asym-* kinds (alias of --order)")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_command(
+    "series",
+    _a_arg(required=True),
+    _arg("--kind", choices=("taylor", "branch-psi0", "branch-psi1", "branch-omega",
+                            "asym-psi0", "asym-psi1"), default="taylor"),
+    _arg("--order", type=int, default=10),
+    _arg("--terms", type=int,
+         help="truncation order for the asym-* kinds (alias of --order)"),
+    _FORMAT,
+)
 def cmd_series(a_text, kind, order, terms, fmt):
     """Print expansion coefficients (index, exponent, coefficient)."""
+    from . import series
+
     try:
         a = _parse_a(a_text)
         if kind == "taylor":
@@ -267,13 +307,17 @@ def cmd_series(a_text, kind, order, terms, fmt):
         _die_domain(str(exc))
 
 
-@main.command("integrate")
-@click.option("--a", "a_text", required=True)
-@click.option("--target", type=click.Choice(["omega", "psi0", "psi1"]), default="omega")
-@click.option("--rel-tol", type=float, default=1e-6)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_command(
+    "integrate",
+    _a_arg(required=True),
+    _arg("--target", choices=("omega", "psi0", "psi1"), default="omega"),
+    _arg("--rel-tol", type=float, default=1e-6),
+    _FORMAT,
+)
 def cmd_integrate(a_text, target, rel_tol, fmt):
     """Closed-form integral, quadrature value, and their difference."""
+    from . import calculus
+
     try:
         a = _parse_a(a_text)
         if target == "omega":
@@ -287,21 +331,27 @@ def cmd_integrate(a_text, target, rel_tol, fmt):
                "quadrature": quadv, "difference": abs(closed - quadv)}
         _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
     except core.AccuracyError as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     except core.DomainError as exc:
         _die_domain(str(exc))
 
 
-@main.command("pqdist")
-@click.option("--n", "n_value", type=int, required=True)
-@click.option("--a", "a_text", default=None)
-@click.option("--z", type=float, default=None)
-@click.option("--p", type=float, default=None)
-@click.option("--q", type=float, default=None)
-@click.option("--out", type=click.Path(writable=True), required=True)
+@_command(
+    "pqdist",
+    _arg("--n", dest="n_value", type=int, required=True),
+    _a_arg(),
+    _arg("--z", type=float),
+    _arg("--p", type=float),
+    _arg("--q", type=float),
+    _arg("--out", type=_writable_path, required=True),
+)
 def cmd_pqdist(n_value, a_text, z, p, q, out):
     """Write the distribution as CSV plus a JSON sidecar with peak data."""
+    import json
+
+    from . import pqbinom
+
     try:
         sidecar: dict = {"n": n_value}
         if p is not None or q is not None:
@@ -331,20 +381,20 @@ def cmd_pqdist(n_value, a_text, z, p, q, out):
         with open(sidecar_path, "w", encoding="utf-8") as fh:
             json.dump(sidecar, fh, indent=2)
             fh.write("\n")
-        click.echo(f"wrote {out} and {sidecar_path}")
+        print(f"wrote {out} and {sidecar_path}")
     except OSError as exc:
-        click.echo(f"error: I/O failure for {out}: {exc}", err=True)
+        print(f"error: I/O failure for {out}: {exc}", file=sys.stderr)
         sys.exit(1)
     except core.DomainError as exc:
         _die_domain(str(exc))
 
 
-@main.command("envelope")
-@click.option("--a", "a_text", required=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
+@_command("envelope", _a_arg(required=True), _FORMAT)
 def cmd_envelope(a_text, fmt):
     """Exploratory envelope diagnostics: the rigorous threshold plus rough
     empirical crossover estimates (not contractual)."""
+    from . import series
+
     try:
         a = _parse_a(a_text)
         rec = {"a": a.a, **series.envelope_crossover_estimates(a)}
@@ -353,16 +403,59 @@ def cmd_envelope(a_text, fmt):
         _die_domain(str(exc))
 
 
-@main.command("selfcheck")
-@click.option("--level", type=click.Choice(["fast", "full"]), default="fast")
+@_command("selfcheck", _arg("--level", choices=("fast", "full"), default="fast"))
 def cmd_selfcheck(level):
     """Run the identity suites; exit 0 only if every suite passes."""
+    from . import selfcheck
+
     results = selfcheck.run_selfcheck(level)
     for r in results:
-        click.echo(r.line())
+        print(r.line())
     failed = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failed)}/{len(results)} suites passed")
+    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
     sys.exit(1 if failed else 0)
+
+
+def _attach_values(argv):
+    """Rewrite each ``--opt value`` as ``--opt=value``.  Every option but
+    --help takes a value, and argparse would read a value such as -1e-05
+    or -inf as an option of its own."""
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok == "--":
+            out.extend(argv[i:])
+            break
+        if tok.startswith("--") and "=" not in tok and tok != "--help" and i + 1 < len(argv):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(tok)
+            i += 1
+    return out
+
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__,
+                                     allow_abbrev=False)
+    verbs = parser.add_subparsers(dest="verb", required=True, metavar="COMMAND")
+    for name, command in main.commands.items():
+        sub = verbs.add_parser(name, help=command.doc, description=command.doc,
+                               allow_abbrev=False)
+        for flags, kwargs in command.arguments:
+            sub.add_argument(*flags, **kwargs)
+    return parser
+
+
+def main(args=None, prog_name=None):
+    """Inverse branches of sinh(a*w)*exp(w), their transition function,
+    and p,q-binomial distribution tools."""
+    argv = sys.argv[1:] if args is None else list(args)
+    options = vars(_parser(prog_name).parse_args(_attach_values(argv)))
+    main.commands[options.pop("verb")].callback(**options)
+
+
+main.commands = _COMMANDS
 
 
 if __name__ == "__main__":

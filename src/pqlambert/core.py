@@ -30,6 +30,8 @@ __all__ = [
 ]
 
 _EXP_MAX = 709.0  # exp(t) overflows double precision just above this
+_LOG_DBL_MAX = 709.78  # math.exp and math.expm1 overflow just above 709.7827
+_LN2 = math.log(2.0)
 _EPS = math.ulp(1.0)
 INV_E = math.exp(-1.0)
 
@@ -160,7 +162,9 @@ def forward(a, w: float) -> float:
     cancellation for every w and reduces to the correct limits at a=0
     (identically 0) and a=1 (expm1(2w)/2).
 
-    Raises RangeError when (1+a)*w exceeds the double exponent range.
+    Above (1+a)*w = 709 it is evaluated as exp((1+a)*w - ln 2)*(-expm1(-2aw)),
+    which stays finite up to (1+a)*w of about 710.47 (further for tiny a).
+    Raises RangeError where the value itself exceeds the double range.
     """
     p = as_param(a)
     w = float(w)
@@ -170,7 +174,7 @@ def forward(a, w: float) -> float:
     if aa == 0.0:
         return 0.0
     if (1.0 + aa) * w > _EXP_MAX:
-        raise RangeError(f"(1+a)*w = {(1.0 + aa) * w!r} exceeds the exponent range")
+        return _exp_top(aa, w, -math.expm1(-2.0 * aa * w))
     return 0.5 * math.exp((1.0 - aa) * w) * math.expm1(2.0 * aa * w)
 
 
@@ -186,8 +190,22 @@ def forward_dw(a, w: float) -> float:
     if aa == 0.0:
         return 0.0
     if (1.0 + aa) * w > _EXP_MAX:
-        raise RangeError(f"(1+a)*w = {(1.0 + aa) * w!r} exceeds the exponent range")
+        return _exp_top(aa, w, ((1.0 + aa) * -math.expm1(-2.0 * aa * w)
+                                + 2.0 * aa * math.exp(-2.0 * aa * w)))
     return 0.5 * math.exp((1.0 - aa) * w) * ((1.0 + aa) * math.expm1(2.0 * aa * w) + 2.0 * aa)
+
+
+def _exp_top(aa: float, w: float, factor: float) -> float:
+    """exp((1+a)*w)/2 * factor for (1+a)*w > _EXP_MAX, where the products
+    of exp((1-a)*w) and expm1(2aw) can overflow though the value is finite;
+    RangeError only when the value leaves the double range."""
+    t = (1.0 + aa) * w - _LN2
+    if t > _LOG_DBL_MAX:  # exp(t) alone overflows; a small factor (tiny a) may not
+        t, factor = t + math.log(factor), 1.0
+    value = math.exp(t) * factor if t <= _LOG_DBL_MAX else math.inf
+    if value == math.inf:
+        raise RangeError(f"(1+a)*w = {(1.0 + aa) * w!r} exceeds the exponent range")
+    return value
 
 
 @lru_cache(maxsize=512)

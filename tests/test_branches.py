@@ -162,6 +162,26 @@ class TestTinyAAndTopOfRange:
         assert psi_derivative(a, P, x, 1) == pytest.approx(float(dref), rel=1e-14)
 
 
+class TestClosedFormFallback:
+    """Where a radical of the 1/3, 3/5 or 1/7 closed forms leaves the double
+    range, psi_closed_form returns the solver's root instead of leaking a
+    math error or a non-finite value."""
+
+    @pytest.mark.parametrize("num, den, branch, x", [
+        (3, 5, P, 1e150),       # OverflowError
+        (3, 5, LO, -2.4e-51),   # ValueError
+        (1, 7, LO, -5.3e-52),   # ValueError
+        (1, 7, P, 1e50),        # ValueError
+        (1, 3, P, 1e308),       # inf
+        (3, 5, P, 1e308),       # nan
+        (3, 5, P, sys.float_info.max),
+    ])
+    def test_against_mpmath(self, num, den, branch, x, mp50):
+        value = psi_closed_form(AsymmetryParam.from_rational(num, den), branch, x)
+        ref = mp_branch_root(num / den, x, value)
+        assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
+
+
 class TestOneLookupPerCall:
     """A scalar call validates a once and looks up its branch constants
     once, also when a is new to the constants cache."""

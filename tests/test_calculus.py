@@ -322,6 +322,16 @@ def test_no_source_file_imports_scipy():
         assert "scipy" not in path.read_text(), path.name
 
 
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [d.split(">")[0].split("=")[0].strip() for d in deps] == ["numpy"]
+    for path in (root / "src" / "pqlambert").glob("*.py"):
+        assert "click" not in path.read_text(), path.name
+
+
 class TestLazyScipy:
     @pytest.mark.parametrize("code", [
         "import pqlambert.cli",

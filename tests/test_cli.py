@@ -1,11 +1,17 @@
 """CLI tests: verbs, serialization round trips, error codes, and the
 thin-adapter property (outputs match direct library calls)."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
-from click.testing import CliRunner
 
 import pqlambert.branches
 from pqlambert.cli import main
@@ -14,9 +20,29 @@ from pqlambert.branches import omega, psi
 from pqlambert.pqbinom import PqParams, build_distribution
 
 
+class Result(NamedTuple):
+    exit_code: int
+    output: str  # stdout, then stderr
+    stderr: str
+
+
+class Runner:
+    """Runs the CLI in process with stdout and stderr captured."""
+
+    def invoke(self, cli, args):
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli(args=args, prog_name="pqlambert")
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+        return Result(code, out.getvalue() + err.getvalue(), err.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def parse_csv(text):
@@ -55,6 +81,15 @@ class TestEval:
         assert res.exit_code == 0
         _, rows = parse_csv(res.output)
         assert float(rows[0]["residual"]) <= 1e-10
+
+    @pytest.mark.parametrize("a, x", [("0.37", "1e308"), ("3/5", "1e150")])
+    def test_top_of_range_values(self, runner, a, x):
+        # the residual's f(psi) is finite above (1+a)*psi = 709, and the 3/5
+        # closed form hands an overflowing radical to the solver
+        res = runner.invoke(main, ["eval", "psi0", "--a", a, "--x", x])
+        assert res.exit_code == 0
+        _, rows = parse_csv(res.output)
+        assert float(rows[0]["residual"]) <= 1e-12 * float(x)
 
     def test_json_format_round_trips(self, runner):
         res = runner.invoke(main, ["eval", "psi1", "--a", "0.5", "--x", "-0.1",
@@ -275,3 +310,74 @@ class TestSelfcheck:
         res = runner.invoke(main, ["selfcheck", "--level", "fast"])
         assert res.exit_code == 1
         assert "FAIL" in res.output
+
+
+class TestArgumentParsing:
+    """Option values that argparse alone would read as options, and the
+    registry that a tracer wraps."""
+
+    def test_negative_exponent_values(self, runner):
+        res = runner.invoke(main, ["eval", "psi1", "--a", "0.5", "--x", "-1e-05"])
+        assert res.exit_code == 0
+        _, rows = parse_csv(res.output)
+        assert float(rows[0]["value"]) == psi(0.5, BranchId.LOWER, -1e-05)
+        res = runner.invoke(main, ["eval", "omega", "--a", "0.5", "--z", "-5e-324"])
+        assert res.exit_code == 0
+        _, rows = parse_csv(res.output)
+        assert float(rows[0]["z"]) == -5e-324
+        assert float(rows[0]["value"]) == omega(0.5, -5e-324)
+
+    def test_negative_sweep_range(self, runner):
+        res = runner.invoke(main, ["sweep", "psi1", "--a", "0.5", "--lo", "-1e-3",
+                                   "--hi", "-1e-5", "--count", "3"])
+        assert res.exit_code == 0
+        _, rows = parse_csv(res.output)
+        assert [float(r["x"]) for r in rows] == pytest.approx([-1e-3, -5.05e-4, -1e-5],
+                                                              rel=1e-12)
+        assert all(r["status"] == "ok" for r in rows)
+
+    def test_attached_value(self, runner):
+        joined = runner.invoke(main, ["eval", "omega", "--a", "1/2", "--z=-5"])
+        spaced = runner.invoke(main, ["eval", "omega", "--a", "1/2", "--z", "-5"])
+        assert joined.exit_code == spaced.exit_code == 0
+        assert joined.output == spaced.output
+
+    def test_non_finite_value_reaches_the_library(self, runner):
+        res = runner.invoke(main, ["eval", "omega", "--a", "1/2", "--z", "-inf"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ") and "usage" not in res.stderr
+
+    def test_usage_errors_exit_2(self, runner):
+        assert runner.invoke(main, []).exit_code == 2
+        assert runner.invoke(main, ["eval", "omega", "--zz", "-5"]).exit_code == 2
+        assert runner.invoke(main, ["eval", "omega", "--format", "xml"]).exit_code == 2
+        assert runner.invoke(main, ["sweep", "f", "--a", "0.5", "--lo", "1"]).exit_code == 2
+
+    def test_replaced_callback_is_called(self, runner, monkeypatch):
+        command = main.commands["eval"]
+        calls = []
+
+        def wrapped(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        real = command.callback
+        monkeypatch.setattr(command, "callback", wrapped)
+        res = runner.invoke(main, ["eval", "omega", "--a", "1/2", "--z", "-5"])
+        assert res.exit_code == 0 and res.output.startswith("function,")
+        assert calls == [{"function": "omega", "a_text": "1/2", "x": None, "z": -5.0,
+                          "n_value": None, "branch_name": None, "fmt": "csv"}]
+
+    def test_every_verb_registered(self):
+        assert set(main.commands) == {"eval", "sweep", "series", "integrate", "pqdist",
+                                      "envelope", "selfcheck"}
+
+
+def test_cli_import_loads_only_core_and_branches():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    lazy = ["click", "numpy", "pqlambert.series", "pqlambert.calculus",
+            "pqlambert.parametrize", "pqlambert.pqbinom", "pqlambert.selfcheck"]
+    probe = f"import sys\nimport pqlambert.cli\nprint([m for m in {lazy!r} if m in sys.modules])"
+    res = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"

@@ -81,6 +81,26 @@ class TestForward:
         with pytest.raises(RangeError):
             forward(0.5, 600.0)
 
+    @pytest.mark.parametrize("a, w", [(0.37, 518.167), (0.5, 473.07), (0.9, 373.4),
+                                      (1.0, 354.8), (1e-300, 720.0)])
+    def test_finite_above_the_old_exponent_threshold(self, a, w, mp50):
+        # (1+a)*w > 709 but f and f' are below the largest double
+        am, wm = mp50.mpf(a), mp50.mpf(w)
+        f = mp50.sinh(am * wm) * mp50.exp(wm)
+        df = (am * mp50.cosh(am * wm) + mp50.sinh(am * wm)) * mp50.exp(wm)
+        tol = 2.0 * (1.0 + a) * w * math.ulp(1.0)  # conditioning of exp at (1+a)*w
+        assert forward(a, w) == pytest.approx(float(f), rel=tol)
+        assert forward_dw(a, w) == pytest.approx(float(df), rel=tol)
+
+    def test_range_error_only_past_the_largest_double(self):
+        assert math.isfinite(forward(0.5, 473.6))
+        with pytest.raises(RangeError):
+            forward(0.5, 473.7)  # f = 1.9e308
+        with pytest.raises(RangeError):
+            forward_dw(0.9, 373.9)  # f' = 3.2e308, f = 1.7e308
+        with pytest.raises(RangeError):
+            forward(1e-300, 1500.0)
+
     def test_matches_naive_definition(self):
         for a in (0.1, 0.5, 0.9):
             for w in (-3.0, -0.7, 0.2, 1.5, 4.0):
