@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Worst error in ulps, per region, of psi_derivative, taylor_at_zero and
-the closed-form branches against the 50-digit mpmath oracle of bench/.
+the closed-form branches against the 50-digit mpmath oracle of bench/,
+and worst relative error of omega_finite_n beyond its input conditioning.
 
 Usage:
     PYTHONPATH=src python scripts/ulp_map.py
@@ -8,7 +9,10 @@ Usage:
 Each line gives the function, the region, the number of points, the worst
 error in ulps of the reference value rounded to a double, and the input
 where it occurs.  A point where the library raises (other than a
-RangeError where the reference overflows) is listed as a failure.
+RangeError where the reference overflows) is listed as a failure.  For
+omega_finite_n the worst value is max(0, |y - ref| - 16*|dy/dz|*ulp(z))/|ref|
+(0 where y is ref rounded to a double) against the root of the ratio
+equation in tests/conftest.py.
 """
 
 import math
@@ -17,10 +21,12 @@ from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracle  # noqa: E402
+from conftest import mp_finite_n_root  # noqa: E402
 
 from pqlambert import AsymmetryParam, BranchId, branch_constants  # noqa: E402
-from pqlambert.branches import psi_closed_form  # noqa: E402
+from pqlambert.branches import omega_finite_n, psi_closed_form  # noqa: E402
 from pqlambert.calculus import psi_derivative  # noqa: E402
 from pqlambert.series import taylor_at_zero  # noqa: E402
 
@@ -57,11 +63,11 @@ def regions(f_min: float) -> dict:
     }
 
 
-def report(name: str, region: str, rows: list) -> None:
+def report(name: str, region: str, rows: list, unit: str = "ulps") -> None:
     fails = [arg for arg, err in rows if err is None]
     errs = [(err, arg) for arg, err in rows if err is not None]
     worst, where = max(errs, key=lambda t: t[0]) if errs else (0.0, None)
-    line = f"{name:<22s} {region:<34s} n={len(rows):<4d} worst={worst:10.3g} ulps at {where}"
+    line = f"{name:<22s} {region:<34s} n={len(rows):<4d} worst={worst:10.3g} {unit} at {where}"
     if fails:
         line += f"  FAILED at {fails}"
     print(line, flush=True)
@@ -113,7 +119,46 @@ def closed_form_map() -> None:
             report("psi_closed_form", f"a={num}/{den} {br} {region}", rows)
 
 
+def finite_n_zs(n: int, a: float) -> dict:
+    """z grids per region: the body, both sides of the numerator's
+    maximizer y_peak (-> w_min as n grows), and q = 1 + 2z/n near 0."""
+    k = round(n * (1.0 - a) / 2.0)
+    y_peak = 0.5 * n * math.expm1(math.log(k / (n - k + 1)) / (n + 1 - 2 * k))
+    return {
+        "-20 <= z <= -0.05": [-0.05, -0.5, -2.0, -5.0, -20.0],
+        "z near y_peak": [y_peak * (1.0 + s * 10.0 ** -j) for j in (2, 6, 10) for s in (-1, 1)],
+        "z near -n/2": [-0.5 * n * (1.0 - 10.0 ** -j) for j in (1, 3, 8, 14)],
+    }
+
+
+def finite_n_map() -> None:
+    for a in (1e-8, 1e-4, 0.37, 0.9, 0.999):
+        rows = {}
+        for n in (2, 3, 10, 64, 1000, 2 ** 16, 2 ** 20, 2 ** 22):
+            if not 1 <= round(n * (1.0 - a) / 2.0) <= n // 2:
+                continue  # k outside [1, n//2]: a DomainError by contract
+            for region, zs in finite_n_zs(n, a).items():
+                for z in zs:
+                    if not (z < 0.0 and 1.0 + 2.0 * z / n > 0.0):
+                        continue
+                    ref, dz = mp_finite_n_root(n, a, z)
+                    try:
+                        y = omega_finite_n(n, a, z)
+                    except ArithmeticError:
+                        rows.setdefault(region, []).append(((n, z), None))
+                        continue
+                    excess = abs(oracle.M(y) - ref) - 16 * abs(dz) * math.ulp(z)
+                    if y == float(ref) or excess <= 0:
+                        rel = 0.0  # correctly rounded, or within the conditioning
+                    else:
+                        rel = float(excess / abs(ref)) if ref else math.inf
+                    rows.setdefault(region, []).append(((n, z), rel))
+        for region, region_rows in rows.items():
+            report("omega_finite_n", f"a={a} {region}", region_rows, "rel")
+
+
 if __name__ == "__main__":
     taylor_map()
     closed_form_map()
     derivative_map()
+    finite_n_map()

@@ -19,6 +19,7 @@ _LAZY = {
         "SeriesKind",
         "asymptotic_psi0",
         "asymptotic_psi1",
+        "asymptotic_tail_coeffs",
         "bell",
         "branch_point_series",
         "derivative_series_check",

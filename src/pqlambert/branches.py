@@ -362,16 +362,18 @@ def omega(a, z: float) -> float:
     if p.kind is ParamKind.ZERO_LIMIT:
         if z == -1.0:
             return -1.0
-        x = z * math.exp(z)
-        if z < -1.0:
-            return lambert_w(BranchId.PRINCIPAL, x)
-        return lambert_w(BranchId.LOWER, x)
+        return lambert_w(BranchId.PRINCIPAL if z < -1.0 else BranchId.LOWER, z * math.exp(z))
     bc = _constants_for(p.a)
     wmin = bc.w_min
     if z == wmin:
         return wmin
     x = forward(p, z)
     if z < wmin:
+        if abs(x) < sys.float_info.min:
+            # x is subnormal, so a|y| << 1 and f(y)/a = y*exp(y) to double
+            # precision: y = W0(x/a), x/a in log form, free of x's underflow
+            u = -math.exp((1.0 - p.a) * z + math.log(-math.expm1(2.0 * p.a * z) / (2.0 * p.a)))
+            return lambert_w(BranchId.PRINCIPAL, u) if u < 0.0 else -0.0
         return _solve_branch(p.a, bc, BranchId.PRINCIPAL, x)
     if abs(x) < sys.float_info.min:
         return _omega_lower_log(p.a, z)
@@ -442,11 +444,16 @@ def omega_closed_form(a, z: float) -> float:
 def omega_finite_n(n: int, a, z: float) -> float:
     """Finite-n transition value: equalizes two consecutive p,q-coefficients.
 
-    With p = 1 + 2y/n and q = 1 + 2z/n, solves
-    (p^(n-k+1) - p^k) / (q^(n-k+1) - q^k) = 1 for y, where
-    k = round(n*(1-a)/2) (banker's rounding).  y = z always solves this
-    trivially; the returned root is the one on the opposite side of the
-    maximizer of the numerator, and converges to omega(a, z) as n grows.
+    With p = 1 + 2y/n, q = 1 + 2z/n and k = round(n*(1-a)/2) (banker's
+    rounding), solves (p^(n-k+1) - p^k) / (q^(n-k+1) - q^k) = 1 for the root
+    y other than the trivial y = z.  That is omega's level-set equation at a
+    shifted asymmetry: with d = n + 1 - 2k >= 1, a_n = d/(n+1) and
+    v(y) = (n+1)/2 * log1p(2y/n), (1-a_n)*v = k*log(p) and 2*a_n*v = d*log(p),
+    so p^(n-k+1) - p^k = p^k*(p^d - 1) = 2*sinh(a_n*v)*exp(v).  Ratio 1 means
+    f(a_n, v(y)) = f(a_n, v(z)), so y = (n/2)*expm1(2*omega(a_n, v(z))/(n+1)).
+    The numerator's maximizer maps to w_min(a_n); as n grows, a_n -> a,
+    v -> z and y -> omega(a, z).  A root within half an ulp of -n/2 is
+    returned as -n/2, where p = 1 + 2y/n is 0.
     """
     p = as_param(a)
     if not isinstance(n, int) or n < 2:
@@ -454,73 +461,15 @@ def omega_finite_n(n: int, a, z: float) -> float:
     z = float(z)
     if not z < 0.0:
         raise DomainError(f"requires z < 0, got {z!r}")
-    if 1.0 + 2.0 * z / n <= 0.0:
-        raise DomainError(f"q = 1 + 2z/n = {1.0 + 2.0 * z / n!r} must be positive")
+    s = 2.0 * z / n
+    if 1.0 + s <= 0.0:
+        raise DomainError(f"q = 1 + 2z/n = {1.0 + s!r} must be positive")
     k = round(n * (1.0 - p.a) / 2.0)
     if not 1 <= k <= n // 2:
         raise DomainError(f"k = round(n(1-a)/2) = {k} outside [1, n//2]")
-    m_hi = n - k + 1
-    d = m_hi - k  # n + 1 - 2k >= 1
-
-    def log_abs_num(lp):
-        # log |p^m_hi - p^k| with lp = log(p), stable for p arbitrarily near 1
-        return k * lp + math.log(-math.expm1(d * lp))
-
-    target = log_abs_num(math.log1p(2.0 * z / n))
-
-    def gfun(y):
-        lp = math.log1p(2.0 * y / n)
-        e = math.expm1(d * lp)  # p^d - 1, in (-1, 0) for y < 0
-        g = k * lp + math.log(-e) - target
-        dg = (2.0 / n) * math.exp(-lp) * (k + d * (1.0 + e) / e)
-        return g, dg
-
-    # the numerator is maximized at p_peak = (k/m_hi)^(1/d); y = z and the
-    # wanted root straddle the corresponding y_peak (-> w_min as n -> inf)
-    y_peak = 0.5 * n * math.expm1(math.log(k / m_hi) / d)
-    if z == y_peak:
-        return y_peak
-    seed = omega(p, z)
-    if z < y_peak:
-        # root in (y_peak, 0), where g decreases toward -inf as y -> 0^-;
-        # solve in s = log(-y) (g increasing in s) so roots arbitrarily close
-        # to zero stay reachable; below the subnormal range the result
-        # rounds to -0.0, the correctly rounded root
-        log_2d_n = math.log(2.0 * d / n)
-
-        def gfun_s(s):
-            t = s + log_2d_n  # log|u| with u = 2*d*y/n
-            if t < -18.0:
-                # |u| < 1.5e-8: g = log|u| - target + (k/d + 1/2)u + O(u^2)
-                u = -math.exp(t) if t > -745.0 else 0.0
-                c = k / d + 0.5
-                return t - target + c * u, 1.0 + c * u
-            y = -math.exp(s)
-            g, dg = gfun(y)
-            return g, dg * y
-
-        s_hi = math.log(-y_peak)
-        s_seed = math.log(-seed) if seed < 0.0 else s_hi - 1.0
-        s_lo = min(s_seed, s_hi) - 4.0
-        step = 4.0
-        for _ in range(100):
-            if gfun_s(s_lo)[0] <= 0.0:
-                break
-            s_lo -= step
-            step *= 2.0
-        else:
-            raise ConvergenceError("no sign change toward zero")
-        s_root = newton_bracketed(gfun_s, s_lo, s_hi,
-                                  min(max(s_seed, s_lo), s_hi), increasing=True)
-        return -math.exp(s_root) if s_root > -746.0 else -0.0
-    # root in (-n/2, y_peak): g increasing in y there
-    p_lo = math.exp(math.log(k / m_hi) / d)
-    lo = y_peak
-    for _ in range(2200):
-        p_lo *= 0.5
-        lo = 0.5 * n * (p_lo - 1.0)
-        if gfun(lo)[0] <= 0.0:
-            break
-    else:
-        raise ConvergenceError("no sign change toward -n/2")
-    return newton_bracketed(gfun, lo, y_peak, min(max(seed, lo), y_peak), increasing=True)
+    a_n = (n + 1 - 2 * k) / (n + 1)
+    # v(z); where s = 2z/n is subnormal, log1p(s) = s and (n+1)z/n rounds once
+    w = omega(a_n, 0.5 * (n + 1) * math.log1p(s) if s < -sys.float_info.min else (n + 1) * z / n)
+    t = 2.0 * w / (n + 1)
+    # below |t| = 1e-20 expm1(t) = t, and n*w/(n+1) keeps a subnormal w's bits
+    return 0.5 * n * math.expm1(t) if abs(t) > 1e-20 else n * w / (n + 1)

@@ -156,12 +156,10 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     x = float(x)
     aa = p.a
     one_m = 1.0 - aa * aa
-    bc = branch_constants(p)
+    bc = branches._check_branch_domain(p, branch, x)
     if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.f_min * (bc.w_min - 2.0 / one_m)
     if x == 0.0:
-        if branch is BranchId.LOWER:
-            raise DomainError("lower branch is undefined at x = 0")
         return aa / one_m
     psiv = branches.psi(p, branch, x)
     return x * psiv - x / one_m + aa * (x / math.tanh(aa * psiv)) / one_m
@@ -279,7 +277,7 @@ def integral_omega_quadrature(a, rel_tol: float) -> float:
     if p.kind is ParamKind.ONE_LIMIT:
         raise DomainError("the integral diverges at a = 1")
     if not 1e-10 <= rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol must be in [1e-10, 1e-3], got {rel_tol!r}")
+        raise DomainError(f"rel_tol must be in [1e-10, 1e-3], got {rel_tol!r}")
     aa = p.a
 
     # cut where the integrand itself is below rel_tol/10 (exponential tail)

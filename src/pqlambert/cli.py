@@ -51,11 +51,15 @@ def _emit_records(records, fieldnames, fmt, out):
 
 
 def _parse_a(text: str) -> core.AsymmetryParam:
-    text = text.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return core.AsymmetryParam.from_rational(int(num), int(den))
-    return core.AsymmetryParam(float(text))
+    num, slash, den = text.strip().partition("/")
+    try:
+        if slash:
+            return core.AsymmetryParam.from_rational(int(num), int(den))
+        return core.AsymmetryParam(float(num))
+    except core.DomainError:
+        raise
+    except (ValueError, ZeroDivisionError):
+        raise core.DomainError(f"--a must be a decimal or 'num/den', got {text!r}") from None
 
 
 def _die_domain(message: str):
@@ -181,6 +185,9 @@ def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
                 from . import pqbinom
 
                 value = branches.omega_finite_n(n_value, a, z)
+                if 1.0 + 2.0 * value / n_value <= 0.0:
+                    raise core.RangeError(f"omega_n = {value!r} is -n/2 to double precision, "
+                                          "where p = 1 + 2y/n is 0 and the residual is undefined")
                 params = pqbinom.PqParams.from_transition(n_value, a, z, value)
                 k = round(n_value * (1.0 - a.a) / 2.0)
                 rec.update(n=n_value, z=z, value=value,
@@ -218,16 +225,17 @@ def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
     """Evaluate a function on a grid; domain violations flag the row."""
     try:
         function = _resolve_branch(function, branch_name)
+        if not lo < hi:
+            _die_domain(f"requires lo < hi, got {lo} >= {hi}")
+        if not 1 <= count <= 10_000_000:
+            _die_domain(f"count must be in [1, 1e7], got {count}")
+        needs_a = function not in ("W0", "Wm1")
+        if needs_a and a_text is None:
+            _die_domain("--a is required for this function")
+        a = _parse_a(a_text) if needs_a else None
+        grid = _sweep_grid(lo, hi, count, scale)
     except core.DomainError as exc:
         _die_domain(str(exc))
-    if not lo < hi:
-        _die_domain(f"requires lo < hi, got {lo} >= {hi}")
-    if not 1 <= count <= 10_000_000:
-        _die_domain(f"count must be in [1, 1e7], got {count}")
-    needs_a = function not in ("W0", "Wm1")
-    if needs_a and a_text is None:
-        _die_domain("--a is required for this function")
-    a = _parse_a(a_text) if needs_a else None
     tag = branches.ClosedFormTag.classify(a) if needs_a else branches.ClosedFormTag.NONE
     with_closed = (function == "omega"
                    and tag in (branches.ClosedFormTag.A13, branches.ClosedFormTag.A12,
@@ -253,10 +261,6 @@ def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
         except (core.DomainError, core.RangeError) as exc:
             return {"value": "", "status": f"domain_error: {exc}"}
 
-    try:
-        grid = _sweep_grid(lo, hi, count, scale)
-    except core.DomainError as exc:
-        _die_domain(str(exc))
     records = [{input_name: t, **evaluate(t)} for t in grid]
     fieldnames = [input_name, "value"] + (["closed_form"] if with_closed else []) + ["status"]
     if out:

@@ -186,6 +186,8 @@ def forward_dw(a, w: float) -> float:
     """
     p = as_param(a)
     w = float(w)
+    if not math.isfinite(w):
+        raise DomainError(f"w must be finite, got {w!r}")
     aa = p.a
     if aa == 0.0:
         return 0.0

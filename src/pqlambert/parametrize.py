@@ -37,8 +37,8 @@ def param_beta(a, beta: float) -> tuple[float, float]:
     if p.kind is ParamKind.ZERO_LIMIT:
         raise DomainError("parametrization undefined at a=0")
     beta = float(beta)
-    if not beta > 1.0:
-        raise DomainError(f"requires beta > 1, got {beta!r}")
+    if not 1.0 < beta < math.inf:
+        raise DomainError(f"requires finite beta > 1, got {beta!r}")
     aa = p.a
     lb = math.log(beta)
     x = 0.5 * math.exp((1.0 - aa) * lb) * math.expm1(2.0 * aa * lb)
@@ -65,8 +65,8 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
     """
     p = _interior_param(a)
     alpha = float(alpha)
-    if not alpha > 1.0:
-        raise DomainError(f"requires alpha > 1, got {alpha!r}")
+    if not 1.0 < alpha < math.inf:
+        raise DomainError(f"requires finite alpha > 1, got {alpha!r}")
     aa = p.a
     la = math.log(alpha)
     le_low = _log_expm1((1.0 - aa) * la)

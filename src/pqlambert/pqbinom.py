@@ -71,6 +71,8 @@ class PqParams:
         ``y`` defaults to the transition value omega(a, z), which places the
         distribution peaks near k/n = (1 -+ a)/2.
         """
+        if not isinstance(n, int) or n < 1:
+            raise DomainError(f"n must be a positive integer, got {n!r}")
         ap = as_param(a)
         z = float(z)
         if y is None:

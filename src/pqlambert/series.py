@@ -310,8 +310,8 @@ def asymptotic_psi0(a, x: float, terms: int = 3) -> float:
     if not isinstance(terms, int) or not 0 <= terms <= 4:
         raise ValueError(f"terms must be in [0, 4], got {terms!r}")
     x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"requires x > 0, got {x!r}")
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"requires finite x > 0, got {x!r}")
     aa = p.a
     y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
     return math.log(2.0 * x) / (1.0 + aa) + _horner(asymptotic_tail_coeffs(p, "psi0", terms), y)
@@ -353,8 +353,8 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
         raise UnsupportedError("the envelope excludes a = 1/3")
     x = float(x)
     threshold = 0.5 * (1.0 + 1.0 / math.expm1(gap)) ** ((1.0 + aa) / (2.0 * aa))
-    if x < threshold:
-        raise DomainError(f"x = {x!r} below the envelope threshold {threshold!r}")
+    if not threshold <= x < math.inf:
+        raise DomainError(f"x = {x!r} outside [{threshold!r}, inf), the envelope's range")
     y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
     base = math.log(2.0 * x) / (1.0 + aa)
     if aa < 1.0 / 3.0:

@@ -79,3 +79,67 @@ def mp_branch_root(a, x, w0):
         if abs(step) <= mp.mpf(2) ** (-mp.mp.prec + 32) * abs(w):
             return w
     raise RuntimeError(f"reference Newton did not converge at a={a!r}, x={x!r}")
+
+
+def mp_finite_n_root(n, a, z):
+    """Reference root y != z of p^(n-k+1) - p^k = q^(n-k+1) - q^k, with
+    p = 1 + 2y/n, q = 1 + 2z/n and k = round(n(1-a)/2), for exact binary
+    a and z; returns (y, dy/dz) as mpmath numbers.
+
+    The numerator is evaluated as written, at a precision that grows with
+    the digits lost in p - 1 and q - 1, and the root is bisected to about 60 digits
+    in log(-y) when it lies between the numerator's maximizer and 0, and
+    in log(p) when it lies between p = 0 and the maximizer.  A root below
+    exp(-800), far under the smallest double, is returned as 0.
+    """
+    import mpmath as mp
+
+    k = round(n * (1.0 - a) / 2.0)
+    m = n - k + 1
+    with mp.workdps(80 + int(max(0, -mp.log10(abs(mp.mpf(z)))))):  # digits lost in q - 1
+        def num(y):
+            p = 1 + 2 * y / n
+            return p ** m - p ** k
+
+        def slope(y):
+            p = 1 + 2 * y / n
+            return m * p ** (m - 1) - k * p ** (k - 1)
+
+        zm = mp.mpf(z)
+        target = abs(num(zm))
+        p_peak = (mp.mpf(k) / m) ** (mp.mpf(1) / (m - k))
+        y_peak = n * (p_peak - 1) / 2
+        if zm == y_peak:
+            return zm, -mp.mpf(1)
+        if zm < y_peak:
+            def y_of(s):  # root in (y_peak, 0): |num| falls from its peak to 0
+                return -mp.exp(s)
+
+            def excess(s):
+                with mp.workdps(80 + int(max(0, -s) / 2.3)):
+                    return abs(num(y_of(s))) - target
+            hi = mp.log(-y_peak)
+        else:
+            def y_of(t):  # root in (-n/2, y_peak): |num| rises from 0 to its peak
+                return n * mp.expm1(t) / 2
+
+            def excess(t):
+                return abs(num(y_of(t))) - target
+            hi = mp.log(p_peak)
+        step, lo = mp.mpf(1), hi - 1
+        while excess(lo) > 0:
+            if zm < y_peak and lo < -800:
+                return mp.mpf(0), slope(zm) / slope(mp.mpf(0))
+            step *= 2
+            lo -= step
+        for _ in range(220):
+            mid = (lo + hi) / 2
+            if excess(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < mp.mpf(10) ** -60 * max(1, abs(hi)):
+                break
+        y = y_of((lo + hi) / 2)
+        with mp.workdps(80 + int(max(0, -mp.log10(abs(y))))):
+            return +y, slope(zm) / slope(y)

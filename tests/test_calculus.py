@@ -206,6 +206,13 @@ class TestPsiPrimitive:
         with pytest.raises(DomainError):
             psi_primitive(0.5, LO, 0.0)
 
+    @pytest.mark.parametrize("branch, x", [(P, -10.0), (P, -math.inf), (P, math.nan),
+                                           (LO, -1e300), (LO, 0.5)])
+    def test_x_off_the_branch_raises(self, branch, x):
+        # below f_min there is no branch value; the branch-point limit is not one
+        with pytest.raises(DomainError):
+            psi_primitive(0.5, branch, x)
+
 
 class TestIntegralPsi:
     def test_closed_form_values_at_one_half(self):

@@ -82,6 +82,14 @@ class TestEval:
         _, rows = parse_csv(res.output)
         assert float(rows[0]["residual"]) <= 1e-10
 
+    @pytest.mark.parametrize("n, a, z", [("2", "0.481815057342137", "-2.087154925246466e-47"),
+                                         ("4", "0.5", "-5e-324")])
+    def test_finite_n_root_at_minus_n_half(self, runner, n, a, z):
+        # the root rounds to -n/2, where p = 0: an error line that names it
+        res = runner.invoke(main, ["eval", "omega_n", "--a", a, "--z", z, "--n", n])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: omega_n = -{int(n) // 2}.0 is -n/2")
+
     @pytest.mark.parametrize("a, x", [("0.37", "1e308"), ("3/5", "1e150")])
     def test_top_of_range_values(self, runner, a, x):
         # the residual's f(psi) is finite above (1+a)*psi = 709, and the 3/5
@@ -346,6 +354,20 @@ class TestArgumentParsing:
         res = runner.invoke(main, ["eval", "omega", "--a", "1/2", "--z", "-inf"])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: ") and "usage" not in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "omega", "--a", "abc", "--z", "-1"],
+        ["pqdist", "--n", "16", "--a", "abc", "--z", "-1", "--out", "OUT"],
+        ["integrate", "--a", "1/0"],
+        ["sweep", "f", "--a", "2", "--lo", "0", "--hi", "1"],
+        ["pqdist", "--n", "0", "--a", "0.5", "--z", "-1", "--out", "OUT"],
+        ["integrate", "--a", "0.5", "--rel-tol", "1"],
+    ])
+    def test_bad_input_gives_an_error_line(self, runner, tmp_path, args):
+        args = [str(tmp_path / "f.csv") if v == "OUT" else v for v in args]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.output
 
     def test_usage_errors_exit_2(self, runner):
         assert runner.invoke(main, []).exit_code == 2

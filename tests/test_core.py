@@ -123,6 +123,21 @@ class TestForward:
         assert forward_dw(a, w) == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
+@pytest.mark.parametrize("name, args", [
+    ("forward_dw", (0.5, math.nan)),
+    ("asymptotic_psi0", (0.5, math.inf)),
+    ("asymptotic_psi0", (0.5, math.nan)),
+    ("psi0_bounds", (0.5, math.inf)),
+    ("param_beta", (0.5, math.inf)),
+    ("param_alpha", (0.5, math.inf)),
+])
+def test_non_finite_input_raises_domain_error(name, args):
+    import pqlambert
+
+    with pytest.raises(DomainError):
+        getattr(pqlambert, name)(*args)
+
+
 class TestBranchConstants:
     def test_record_fields(self):
         bc = branch_constants(0.5)

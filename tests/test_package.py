@@ -23,8 +23,8 @@ EXPORTS = {
         "psi", "psi_closed_form",
     ],
     "series": [
-        "SeriesExpansion", "SeriesKind", "asymptotic_psi0", "asymptotic_psi1", "bell",
-        "branch_point_series", "derivative_series_check", "envelope_crossover_estimates",
+        "SeriesExpansion", "SeriesKind", "asymptotic_psi0", "asymptotic_psi1",
+        "asymptotic_tail_coeffs", "bell", "branch_point_series", "derivative_series_check", "envelope_crossover_estimates",
         "psi0_bounds", "psi1_bounds", "taylor_at_zero",
     ],
     "calculus": [
@@ -54,6 +54,12 @@ def test_star_import_yields_every_name_and_submodule():
     names = set(namespace) - {"__builtins__"}
     assert names == {n for names in EXPORTS.values() for n in names} | set(EXPORTS)
     assert names == set(pqlambert.__all__)
+
+
+@pytest.mark.parametrize("module", sorted(pqlambert._LAZY))
+def test_lazy_table_matches_module_all(module):
+    mod = importlib.import_module(f"pqlambert.{module}")
+    assert list(pqlambert._LAZY[module]) == list(mod.__all__)
 
 
 def test_dir_lists_lazy_names():
