@@ -22,6 +22,9 @@ from .core import (
     UnsupportedError,
     _LN2,
     _LOG_DBL_MAX,
+    _check_branch_domain,
+    _check_int,
+    _check_z,
     _constants_for,
     _domain_tol,
     as_param,
@@ -63,30 +66,6 @@ class ClosedFormTag(enum.Enum):
         return cls.NONE
 
 
-def _check_branch_domain(p: AsymmetryParam, branch: BranchId,
-                         x: float) -> BranchConstants | None:
-    """Raise DomainError unless x lies on the branch; return the branch
-    constants of a (the call's one lookup), or None at a = 1."""
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if p.kind is ParamKind.ZERO_LIMIT:
-        raise DomainError(
-            "inverse branches are undefined at a=0 (the forward map vanishes); "
-            "rescale through lambert_w instead")
-    if p.kind is ParamKind.ONE_LIMIT:
-        if branch is BranchId.LOWER:
-            raise DomainError("the lower branch does not exist at a=1")
-        if x <= -0.5:
-            raise DomainError(f"principal branch at a=1 requires x > -1/2, got {x!r}")
-        return None
-    bc = _constants_for(p.a)
-    if x < bc.f_min - _domain_tol(bc.f_min):
-        raise DomainError(f"x = {x!r} below the branch-point value L_a = {bc.f_min!r}")
-    if branch is BranchId.LOWER and x >= 0.0:
-        raise DomainError(f"lower branch requires x < 0, got {x!r}")
-    return bc
-
-
 @dataclass(frozen=True)
 class PsiQuery:
     """Validated evaluation request for one inverse branch."""
@@ -97,8 +76,7 @@ class PsiQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "a", as_param(self.a))
-        object.__setattr__(self, "x", float(self.x))
-        _check_branch_domain(self.a, self.branch, self.x)
+        object.__setattr__(self, "x", _check_branch_domain(self.a, self.branch, self.x)[1])
 
 
 def _bp_seed(bc, t: float, sign: float, a: float) -> float:
@@ -149,11 +127,9 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
             if t <= 0.6 * t_max:
                 seed = _bp_seed(bc, t, 1.0, a)
             else:
-                # |x| < 0.4|L_a| < radius of the Taylor series at 0; below
-                # a = 1e-150 its higher terms overflow, and the first one seeds
+                # |x| < 0.4|L_a| < radius of the Taylor series at 0
                 u = x / a
-                seed = (u - u * u / a + (9.0 - a * a) * u ** 3 / (6.0 * a * a)
-                        if a > 1e-150 else u)
+                seed = u - u * u + (9.0 - a * a) * u ** 3 / 6.0
             return newton_bracketed(g, wmin, 0.0, seed, increasing=True)
         if x >= 10.0:
             seed = _asym0_seed(a, x)
@@ -197,8 +173,7 @@ def psi(a, branch: BranchId, x: float) -> float:
     at zero, whichever region applies.
     """
     p = as_param(a)
-    x = float(x)
-    bc = _check_branch_domain(p, branch, x)
+    bc, x = _check_branch_domain(p, branch, x)
     if p.kind is ParamKind.ONE_LIMIT:
         return 0.5 * math.log1p(2.0 * x)
     return _solve_branch(p.a, bc, branch, x)
@@ -330,8 +305,7 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
         raise UnsupportedError(
             "closed forms exist only for a in {1/3, 1/2, 1/5, 3/5, 1/7} "
             "constructed as exact rationals")
-    x = float(x)
-    bc = _check_branch_domain(p, branch, x)
+    bc, x = _check_branch_domain(p, branch, x)
     # same treatment of the branch-point neighborhood as the generic solver,
     # so the two routes agree where the square-root sensitivity blows up
     if x - bc.f_min <= _domain_tol(bc.f_min):
@@ -354,9 +328,7 @@ def omega(a, z: float) -> float:
     swapping the two real Lambert W branches of z*exp(z).
     """
     p = as_param(a)
-    z = float(z)
-    if not z < 0.0:
-        raise DomainError(f"transition function requires z < 0, got {z!r}")
+    z = _check_z(z)
     if p.kind is ParamKind.ONE_LIMIT:
         raise DomainError("transition function undefined at a=1: single branch only")
     if p.kind is ParamKind.ZERO_LIMIT:
@@ -427,9 +399,7 @@ def omega_closed_form(a, z: float) -> float:
     """
     p = as_param(a)
     tag = ClosedFormTag.classify(p)
-    z = float(z)
-    if not z < 0.0:
-        raise DomainError(f"transition function requires z < 0, got {z!r}")
+    z = _check_z(z)
     if tag is ClosedFormTag.A13:
         return _omega_13(z)
     if tag is ClosedFormTag.A12:
@@ -456,11 +426,8 @@ def omega_finite_n(n: int, a, z: float) -> float:
     returned as -n/2, where p = 1 + 2y/n is 0.
     """
     p = as_param(a)
-    if not isinstance(n, int) or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    z = float(z)
-    if not z < 0.0:
-        raise DomainError(f"requires z < 0, got {z!r}")
+    _check_int("n", n, 2)
+    z = _check_z(z)
     s = 2.0 * z / n
     if 1.0 + s <= 0.0:
         raise DomainError(f"q = 1 + 2z/n = {1.0 + s!r} must be positive")

@@ -18,8 +18,12 @@ from .core import (
     ParamKind,
     RangeError,
     SingularityError,
+    _check_branch_domain,
+    _check_int,
+    _check_rel_tol,
     _domain_tol,
     _interior_param,
+    _is_principal,
     as_param,
     branch_constants,
 )
@@ -106,8 +110,7 @@ def _pn_cached(a_value: float, nmax: int) -> tuple:
 def pn_sequence(a, nmax: int) -> tuple:
     """P_1 .. P_nmax for a fixed asymmetry (cached)."""
     p = _interior_param(a)
-    if not isinstance(nmax, int) or not 1 <= nmax <= DERIVATIVE_ORDER_MAX:
-        raise ValueError(f"nmax must be in [1, {DERIVATIVE_ORDER_MAX}], got {nmax!r}")
+    _check_int("nmax", nmax, 1, DERIVATIVE_ORDER_MAX)
     return _pn_cached(p.a, nmax)
 
 
@@ -125,10 +128,8 @@ def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
     the same values but cancels on the lower branch and near a = 1.
     """
     p = _interior_param(a)
-    if not isinstance(n, int) or not 1 <= n <= DERIVATIVE_ORDER_MAX:
-        raise ValueError(f"n must be in [1, {DERIVATIVE_ORDER_MAX}], got {n!r}")
-    x = float(x)
-    bc = branches._check_branch_domain(p, branch, x)
+    _check_int("n", n, 1, DERIVATIVE_ORDER_MAX)
+    bc, x = _check_branch_domain(p, branch, x)
     if x - bc.f_min <= _domain_tol(bc.f_min):
         raise SingularityError(
             f"derivative is singular at the branch point x = {bc.f_min!r}")
@@ -153,10 +154,9 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     f_min*(w_min - 2/(1-a^2)) at the branch point where coth = -1/a.
     """
     p = _interior_param(a)
-    x = float(x)
+    bc, x = _check_branch_domain(p, branch, x)
     aa = p.a
     one_m = 1.0 - aa * aa
-    bc = branches._check_branch_domain(p, branch, x)
     if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.f_min * (bc.w_min - 2.0 / one_m)
     if x == 0.0:
@@ -174,7 +174,7 @@ def integral_psi(a, branch: BranchId) -> float:
     p = _interior_param(a)
     aa = p.a
     bc = branch_constants(p)
-    if branch is BranchId.PRINCIPAL:
+    if _is_principal(branch):
         return (aa + 2.0 * bc.f_min) / (1.0 - aa * aa) - bc.f_min * bc.w_min
     return 2.0 * bc.f_min / (1.0 - aa * aa) - bc.f_min * bc.w_min
 
@@ -228,13 +228,14 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     logarithmic endpoint at 0 through x = -exp(-s).
     """
     p = _interior_param(a)
+    _check_rel_tol(rel_tol)
     bc = branch_constants(p)
     fmin = bc.f_min
 
     def by_t(t):
         return 2.0 * t * branches.psi(p, branch, fmin + t * t)
 
-    if branch is BranchId.PRINCIPAL:
+    if _is_principal(branch):
         val, _ = _tanh_sinh(by_t, 0.0, math.sqrt(-fmin), rel_tol / 4.0)
         return val
     # lower branch: [f_min, f_min/2] via t, [f_min/2, 0) via x = -exp(-s)
@@ -276,8 +277,7 @@ def integral_omega_quadrature(a, rel_tol: float) -> float:
     p = as_param(a)
     if p.kind is ParamKind.ONE_LIMIT:
         raise DomainError("the integral diverges at a = 1")
-    if not 1e-10 <= rel_tol <= 1e-3:
-        raise DomainError(f"rel_tol must be in [1e-10, 1e-3], got {rel_tol!r}")
+    _check_rel_tol(rel_tol)
     aa = p.a
 
     # cut where the integrand itself is below rel_tol/10 (exponential tail)

@@ -105,6 +105,8 @@ def _writable_path(text: str) -> str:
 
 _FORMAT = _arg("--format", dest="fmt", choices=("csv", "json"), default="csv")
 _BRANCH = ("principal", "lower")
+_BRANCH_OF = {"psi0": core.BranchId.PRINCIPAL, "W0": core.BranchId.PRINCIPAL,
+              "psi1": core.BranchId.LOWER, "Wm1": core.BranchId.LOWER}
 _EVAL_FUNCTIONS = ("f", "psi", "psi0", "psi1", "omega", "omega_n", "W0", "Wm1")
 
 
@@ -114,11 +116,9 @@ def _resolve_branch(function, branch_name):
         if branch_name is None:
             raise core.DomainError("function 'psi' requires --branch")
         return "psi0" if branch_name == "principal" else "psi1"
-    if branch_name is not None:
-        want = "principal" if function in ("psi0", "W0") else "lower"
-        if function in ("psi0", "psi1", "W0", "Wm1") and branch_name != want:
-            raise core.DomainError(
-                f"--branch {branch_name} contradicts function {function}")
+    branch = _BRANCH_OF.get(function)
+    if branch_name is not None and branch is not None and branch_name != branch.value:
+        raise core.DomainError(f"--branch {branch_name} contradicts function {function}")
     return function
 
 
@@ -141,8 +141,7 @@ def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
         if function in ("W0", "Wm1"):
             if x is None:
                 raise core.DomainError("--x is required")
-            branch = core.BranchId.PRINCIPAL if function == "W0" else core.BranchId.LOWER
-            value = core.lambert_w(branch, x)
+            value = core.lambert_w(_BRANCH_OF[function], x)
             rec.update(x=x, value=value,
                        residual=abs(value * math.exp(value) - x))
         else:
@@ -157,7 +156,7 @@ def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
             elif function in ("psi0", "psi1"):
                 if x is None:
                     raise core.DomainError("--x is required")
-                branch = core.BranchId.PRINCIPAL if function == "psi0" else core.BranchId.LOWER
+                branch = _BRANCH_OF[function]
                 # exact rationals dispatch to the closed forms
                 if branches.ClosedFormTag.classify(a) is not branches.ClosedFormTag.NONE:
                     value = branches.psi_closed_form(a, branch, x)
@@ -247,17 +246,14 @@ def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
         try:
             if function == "f":
                 return {"value": core.forward(a, t), "status": "ok"}
-            if function == "psi0":
-                return {"value": branches.psi(a, core.BranchId.PRINCIPAL, t), "status": "ok"}
-            if function == "psi1":
-                return {"value": branches.psi(a, core.BranchId.LOWER, t), "status": "ok"}
+            if function in ("psi0", "psi1"):
+                return {"value": branches.psi(a, _BRANCH_OF[function], t), "status": "ok"}
             if function == "omega":
                 rec = {"value": branches.omega(a, t), "status": "ok"}
                 if with_closed:
                     rec["closed_form"] = branches.omega_closed_form(a, t)
                 return rec
-            branch = core.BranchId.PRINCIPAL if function == "W0" else core.BranchId.LOWER
-            return {"value": core.lambert_w(branch, t), "status": "ok"}
+            return {"value": core.lambert_w(_BRANCH_OF[function], t), "status": "ok"}
         except (core.DomainError, core.RangeError) as exc:
             return {"value": "", "status": f"domain_error: {exc}"}
 
@@ -286,11 +282,11 @@ def cmd_series(a_text, kind, order, terms, fmt):
 
     try:
         a = _parse_a(a_text)
+        which = kind.partition("-")[2]
         if kind == "taylor":
             exp_step, exp_name = 1.0, "x"
             coeffs = series.taylor_at_zero(a, order).coeffs
         elif kind.startswith("branch-"):
-            which = kind.split("-", 1)[1]
             se = series.branch_point_series(a, which, order)
             coeffs = se.coeffs
             exp_step = 0.5 if which in ("psi0", "psi1") else 1.0
@@ -298,16 +294,15 @@ def cmd_series(a_text, kind, order, terms, fmt):
         else:
             # tail coefficients of log(2|x|)/(1 -+ a) + sum c_k V^k, where V is
             # the large/small argument power variable of each branch
-            nterms = terms if terms is not None else min(order, 4)
-            exp_step, exp_name = 1.0, "Y" if kind == "asym-psi0" else "Z"
-            coeffs = series.asymptotic_tail_coeffs(
-                a, "psi0" if kind == "asym-psi0" else "psi1", nterms)
+            nterms = terms if terms is not None else min(order, series.TAIL_TERMS_MAX[which])
+            exp_step, exp_name = 1.0, "Y" if which == "psi0" else "Z"
+            coeffs = series.asymptotic_tail_coeffs(a, which, nterms)
         records = [{"index": i + 1, "variable": exp_name,
                     "exponent": exp_step * (i + 1), "coefficient": c}
                    for i, c in enumerate(coeffs)]
         _emit_records(records, ["index", "variable", "exponent", "coefficient"],
                       fmt, sys.stdout)
-    except (core.DomainError, ValueError) as exc:
+    except (core.DomainError, core.RangeError) as exc:
         _die_domain(str(exc))
 
 
@@ -328,9 +323,9 @@ def cmd_integrate(a_text, target, rel_tol, fmt):
             closed = calculus.integral_omega(a)
             quadv = calculus.integral_omega_quadrature(a, rel_tol)
         else:
-            branch = core.BranchId.PRINCIPAL if target == "psi0" else core.BranchId.LOWER
+            branch = _BRANCH_OF[target]
             closed = calculus.integral_psi(a, branch)
-            quadv = calculus.integral_psi_quadrature(a, branch, max(rel_tol, 1e-10))
+            quadv = calculus.integral_psi_quadrature(a, branch, rel_tol)
         rec = {"target": target, "a": a.a, "closed_form": closed,
                "quadrature": quadv, "difference": abs(closed - quadv)}
         _emit_records([rec], list(rec.keys()), fmt, sys.stdout)

@@ -137,6 +137,35 @@ def _interior_param(a) -> AsymmetryParam:
     return p
 
 
+def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Raise DomainError unless value is an int in [lo, hi] (a bool is not)."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or value < lo or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def _check_z(z) -> float:
+    """float(z), raising DomainError unless it is finite and negative."""
+    z = float(z)
+    if not -math.inf < z < 0.0:
+        raise DomainError(f"transition function requires finite z < 0, got {z!r}")
+    return z
+
+
+def _check_rel_tol(rel_tol: float) -> None:
+    """Raise DomainError unless a quadrature tolerance lies in [1e-10, 1e-3]."""
+    if not 1e-10 <= rel_tol <= 1e-3:
+        raise DomainError(f"rel_tol must be in [1e-10, 1e-3], got {rel_tol!r}")
+
+
+def _is_principal(branch) -> bool:
+    """True for PRINCIPAL, False for LOWER; UnsupportedError otherwise."""
+    if branch is not BranchId.PRINCIPAL and branch is not BranchId.LOWER:
+        raise UnsupportedError(f"unknown branch {branch!r}")
+    return branch is BranchId.PRINCIPAL
+
+
 def _domain_tol(f_min: float) -> float:
     """Width of the band above f_min that counts as the branch point."""
     return 8.0 * _EPS * abs(f_min)
@@ -235,6 +264,33 @@ def branch_constants(a) -> BranchConstants:
     return _constants_for(p.a)
 
 
+def _check_branch_domain(p: AsymmetryParam, branch: BranchId,
+                         x) -> tuple[BranchConstants | None, float]:
+    """Raise UnsupportedError for an unknown branch and DomainError unless
+    x lies on the branch; return the branch constants of a (the call's one
+    lookup, None at a = 1) and float(x)."""
+    lower = not _is_principal(branch)
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
+    if p.kind is ParamKind.ZERO_LIMIT:
+        raise DomainError(
+            "inverse branches are undefined at a=0 (the forward map vanishes); "
+            "rescale through lambert_w instead")
+    if p.kind is ParamKind.ONE_LIMIT:
+        if lower:
+            raise DomainError("the lower branch does not exist at a=1")
+        if x <= -0.5:
+            raise DomainError(f"principal branch at a=1 requires x > -1/2, got {x!r}")
+        return None, x
+    bc = _constants_for(p.a)
+    if x < bc.f_min - _domain_tol(bc.f_min):
+        raise DomainError(f"x = {x!r} below the branch-point value L_a = {bc.f_min!r}")
+    if lower and x >= 0.0:
+        raise DomainError(f"lower branch requires x < 0, got {x!r}")
+    return bc, x
+
+
 def special_point(a, n: int) -> tuple[float, float]:
     """Exact lower-branch sample (x_n, w_n) with w_n = n * w_min.
 
@@ -244,8 +300,7 @@ def special_point(a, n: int) -> tuple[float, float]:
     so that the lower branch satisfies psi(x_n) = n*w_min.
     """
     p = _interior_param(a)
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    _check_int("n", n, 1)
     aa = p.a
     log_ratio = math.log1p(-aa) - math.log1p(aa)
     prefactor = math.exp(n * (1.0 - aa) / (2.0 * aa) * log_ratio)
@@ -304,7 +359,7 @@ def lambert_w(branch: BranchId, x: float) -> float:
         if d < -32.0 * _EPS:
             raise DomainError(f"x = {x!r} below the branch point -1/e")
         d = 0.0
-    if branch is BranchId.PRINCIPAL:
+    if _is_principal(branch):
         if x == 0.0:
             return 0.0
         if d <= 0.2:
@@ -317,17 +372,15 @@ def lambert_w(branch: BranchId, x: float) -> float:
             l2 = math.log(l1)
             w = l1 - l2 + l2 / l1
         return _lambert_halley(x, max(w, -1.0), lo=-1.0)
-    if branch is BranchId.LOWER:
-        if x >= 0.0:
-            raise DomainError(f"lower branch requires -1/e <= x < 0, got {x!r}")
-        if d == 0.0:
-            return -1.0
-        if d <= 0.3:
-            pbp = math.sqrt(2.0 * d)
-            w = -1.0 - pbp * (1.0 + pbp * (1.0 / 3.0 + pbp * 11.0 / 72.0))
-        else:
-            l1 = math.log(-x)
-            l2 = math.log(-l1)
-            w = l1 - l2 + l2 / l1
-        return _lambert_halley(x, min(w, -1.0), hi=-1.0)
-    raise UnsupportedError(f"unknown branch {branch!r}")
+    if x >= 0.0:
+        raise DomainError(f"lower branch requires -1/e <= x < 0, got {x!r}")
+    if d == 0.0:
+        return -1.0
+    if d <= 0.3:
+        pbp = math.sqrt(2.0 * d)
+        w = -1.0 - pbp * (1.0 + pbp * (1.0 / 3.0 + pbp * 11.0 / 72.0))
+    else:
+        l1 = math.log(-x)
+        l2 = math.log(-l1)
+        w = l1 - l2 + l2 / l1
+    return _lambert_halley(x, min(w, -1.0), hi=-1.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import branches
-from .core import DomainError, as_param
+from .core import DomainError, _LN2, _check_int, _check_z, as_param
 
 if TYPE_CHECKING:  # for the annotations only
     import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 N_MAX = 2 ** 24          # practical cap for building full distributions
-_LN2 = math.log(2.0)
 _EXP_FLOOR = -746.0      # exp(x) rounds to +0.0 for every x below about -745.13
 
 
@@ -51,16 +50,14 @@ class PqParams:
     provenance: tuple | None = None
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        _check_int("n", self.n, 1)
         if not (self.p > 0.0 and self.q > 0.0):
             raise DomainError("p and q must be positive")
         if self.p == self.q:
             raise DomainError("p = q is degenerate (the definition divides by p^j - q^j)")
         if self.provenance is not None:
             a, y, z = self.provenance
-            if not z < 0.0:
-                raise DomainError("provenance requires z < 0")
+            _check_z(z)
             if self.p != 1.0 + 2.0 * y / self.n or self.q != 1.0 + 2.0 * z / self.n:
                 raise DomainError("provenance does not reproduce p, q exactly")
 
@@ -71,8 +68,7 @@ class PqParams:
         ``y`` defaults to the transition value omega(a, z), which places the
         distribution peaks near k/n = (1 -+ a)/2.
         """
-        if not isinstance(n, int) or n < 1:
-            raise DomainError(f"n must be a positive integer, got {n!r}")
+        _check_int("n", n, 1)
         ap = as_param(a)
         z = float(z)
         if y is None:
@@ -149,8 +145,7 @@ def log_pq_binomial(params: PqParams, k: int) -> float:
     so the coefficient is positive for any p != q > 0.
     """
     n = params.n
-    if not isinstance(k, int) or not 0 <= k <= n:
-        raise DomainError(f"k must be an integer in [0, {n}], got {k!r}")
+    _check_int("k", k, 0, n)
     if k == 0:
         return 0.0
     import numpy as np
@@ -256,8 +251,7 @@ def equal_ratio_residual(params: PqParams, k: int) -> float:
     range of the equal-coefficient equation is k <= n/2.
     """
     n = params.n
-    if not isinstance(k, int) or not 1 <= k <= n:
-        raise DomainError(f"k must be an integer in [1, {n}], got {k!r}")
+    _check_int("k", k, 1, n)
     p, q = params.p, params.q
     d = n + 1 - 2 * k
     if d == 0:

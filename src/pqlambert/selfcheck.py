@@ -269,7 +269,7 @@ _SUITES = [
 def run_selfcheck(level: str = "fast") -> list[SuiteResult]:
     """Run every suite at the given level ("fast" or "full")."""
     if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+        raise core.UnsupportedError(f"level must be 'fast' or 'full', got {level!r}")
     results = []
     for name, fn in _SUITES:
         try:

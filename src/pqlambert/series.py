@@ -13,9 +13,12 @@ from dataclasses import dataclass
 
 from .core import (
     AsymmetryParam,
+    BranchId,
     DomainError,
+    RangeError,
     UnsupportedError,
-    _domain_tol,
+    _check_branch_domain,
+    _check_int,
     _interior_param,
     branch_constants,
 )
@@ -37,6 +40,7 @@ __all__ = [
 
 TAYLOR_ORDER_MAX = 40   # double precision is exhausted well before this
 BRANCH_POINT_ORDER_MAX = 12
+TAIL_TERMS_MAX = {"psi0": 4, "psi1": 3}  # most asymptotic tail terms per branch
 
 
 class SeriesKind(enum.Enum):
@@ -68,9 +72,9 @@ class SeriesExpansion:
 
     def __post_init__(self):
         if len(self.coeffs) != self.order:
-            raise ValueError("coefficient count must equal the order")
+            raise DomainError("coefficient count must equal the order")
         if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError("coefficients must be finite")
+            raise RangeError("coefficients must be finite")
 
     def evaluate(self, x: float) -> float:
         """Evaluate the expansion at the function's natural argument."""
@@ -100,8 +104,8 @@ def bell(n: int, k: int, args) -> float:
     B_{n,k} = sum_j C(n-1, j-1) * x_j * B_{n-j,k-1}.  Returns 0 for k > n
     (no partition of n into more than n blocks), 1 for n = k = 0.
     """
-    if n < 0 or k < 0:
-        raise ValueError("indices must be nonnegative")
+    _check_int("n", n, 0)
+    _check_int("k", k, 0)
     if k > n:
         return 0.0
     if n == 0:
@@ -110,7 +114,7 @@ def bell(n: int, k: int, args) -> float:
         return 0.0
     args = [float(v) for v in args]
     if len(args) < n - k + 1:
-        raise ValueError(f"need at least {n - k + 1} arguments, got {len(args)}")
+        raise DomainError(f"need at least {n - k + 1} arguments, got {len(args)}")
     table = {(0, 0): 1.0}
     for nn in range(1, n + 1):
         kmax = min(nn, k)
@@ -194,8 +198,7 @@ def taylor_at_zero(a, order: int) -> SeriesExpansion:
     of x^n.  The radius of convergence is bounded by |f_min|.
     """
     p = _interior_param(a)
-    if not isinstance(order, int) or not 1 <= order <= TAYLOR_ORDER_MAX:
-        raise ValueError(f"order must be in [1, {TAYLOR_ORDER_MAX}], got {order!r}")
+    _check_int("order", order, 1, TAYLOR_ORDER_MAX)
     inv_c1, r = _local_coeffs(p.a, 0.0, order)
     coeffs = []
     scale = 1.0
@@ -256,9 +259,7 @@ def branch_point_series(a, which: str, order: int) -> SeriesExpansion:
     odd-coefficient sign flip between them holds bit for bit.
     """
     p = _interior_param(a)
-    if not isinstance(order, int) or not 1 <= order <= BRANCH_POINT_ORDER_MAX:
-        raise ValueError(
-            f"order must be in [1, {BRANCH_POINT_ORDER_MAX}], got {order!r}")
+    _check_int("order", order, 1, BRANCH_POINT_ORDER_MAX)
     if which not in ("psi0", "psi1", "omega"):
         raise UnsupportedError(f"which must be 'psi0', 'psi1' or 'omega', got {which!r}")
     v = _sqrt_series(_forward_scaled_coeffs(p.a, order + 1)[2:], order - 1)
@@ -287,11 +288,9 @@ def asymptotic_tail_coeffs(a, which: str, terms: int) -> tuple:
     coefficient is (p^k - q^k)/k!, with (p, q) = (2a, a-1) and (-2a, -a-1).
     """
     p = _interior_param(a)
-    cap = 4 if which == "psi0" else 3
-    if which not in ("psi0", "psi1"):
+    if which not in TAIL_TERMS_MAX:
         raise UnsupportedError(f"which must be 'psi0' or 'psi1', got {which!r}")
-    if not isinstance(terms, int) or not 0 <= terms <= cap:
-        raise ValueError(f"terms must be in [0, {cap}], got {terms!r}")
+    _check_int("terms", terms, 0, TAIL_TERMS_MAX[which])
     aa = p.a
     ep, eq = (2.0 * aa, aa - 1.0) if which == "psi0" else (-2.0 * aa, -aa - 1.0)
     return tuple(_revert([(ep ** k - eq ** k) / math.factorial(k)
@@ -307,8 +306,6 @@ def asymptotic_psi0(a, x: float, terms: int = 3) -> float:
     Intended for x >= 10; accuracy simply degrades below that.
     """
     p = _interior_param(a)
-    if not isinstance(terms, int) or not 0 <= terms <= 4:
-        raise ValueError(f"terms must be in [0, 4], got {terms!r}")
     x = float(x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"requires finite x > 0, got {x!r}")
@@ -326,14 +323,7 @@ def asymptotic_psi1(a, x: float, terms: int = 3) -> float:
     Intended for |x| <= 0.01*|f_min|.
     """
     p = _interior_param(a)
-    if not isinstance(terms, int) or not 0 <= terms <= 3:
-        raise ValueError(f"terms must be in [0, 3], got {terms!r}")
-    x = float(x)
-    if not x < 0.0:
-        raise DomainError(f"requires x < 0, got {x!r}")
-    f_min = branch_constants(p).f_min
-    if x < f_min - _domain_tol(f_min):
-        raise DomainError(f"x = {x!r} below the branch-point value {f_min!r}")
+    _, x = _check_branch_domain(p, BranchId.LOWER, x)
     aa = p.a
     z = (-2.0 * x) ** (2.0 * aa / (1.0 - aa))
     return math.log(-2.0 * x) / (1.0 - aa) + _horner(asymptotic_tail_coeffs(p, "psi1", terms), z)

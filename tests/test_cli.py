@@ -226,6 +226,14 @@ class TestSeriesVerb:
         assert float(rows[0]["coefficient"]) == pytest.approx(2.0)
         assert float(rows[1]["coefficient"]) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("kind, terms", [("asym-psi0", 4), ("asym-psi1", 3)])
+    def test_asymptotic_kinds_at_the_default_order(self, runner, kind, terms):
+        # the default --order 10 is capped at each kind's own term limit
+        res = runner.invoke(main, ["series", "--a", "0.3", "--kind", kind])
+        assert res.exit_code == 0, res.output
+        _, rows = parse_csv(res.output)
+        assert [int(r["index"]) for r in rows] == list(range(1, terms + 1))
+
     def test_order_validation(self, runner):
         res = runner.invoke(main, ["series", "--a", "1/2", "--kind", "taylor",
                                    "--order", "50"])
@@ -362,6 +370,8 @@ class TestArgumentParsing:
         ["sweep", "f", "--a", "2", "--lo", "0", "--hi", "1"],
         ["pqdist", "--n", "0", "--a", "0.5", "--z", "-1", "--out", "OUT"],
         ["integrate", "--a", "0.5", "--rel-tol", "1"],
+        ["integrate", "--a", "0.5", "--target", "psi0", "--rel-tol", "1e-12"],
+        ["integrate", "--a", "0.5", "--target", "psi1", "--rel-tol", "0.01"],
     ])
     def test_bad_input_gives_an_error_line(self, runner, tmp_path, args):
         args = [str(tmp_path / "f.csv") if v == "OUT" else v for v in args]

@@ -14,6 +14,7 @@ from pqlambert.core import (
     DomainError,
     ParamKind,
     RangeError,
+    UnsupportedError,
     as_param,
     branch_constants,
     forward,
@@ -136,6 +137,44 @@ def test_non_finite_input_raises_domain_error(name, args):
 
     with pytest.raises(DomainError):
         getattr(pqlambert, name)(*args)
+
+
+def _bad_arguments():
+    """(error, function, args): each call broke an argument rule at some
+    point and returned a value or raised a bare ValueError."""
+    import pqlambert
+    from pqlambert.selfcheck import run_selfcheck
+
+    third, half = AsymmetryParam.from_rational(1, 3), AsymmetryParam.from_rational(1, 2)
+    bool_as_int = [  # a bool is not an integer
+        (pqlambert.taylor_at_zero, (0.5, True)),
+        (special_point, (0.5, True)),
+        (pqlambert.PqParams, (True, 1.1, 0.9)),
+        (pqlambert.psi_derivative, (0.5, P, 0.0, True)),
+        (pqlambert.log_pq_binomial, (pqlambert.PqParams(8, 1.1, 0.9), True)),
+    ]
+    branch_calls = [  # a branch that is not a BranchId member used to select LOWER
+        (pqlambert.psi, 0.3, (-0.05,)),
+        (pqlambert.psi_closed_form, half, (-0.05,)),
+        (pqlambert.psi_derivative, 0.3, (-0.05,)),
+        (pqlambert.psi_primitive, 0.3, (-0.05,)),
+        (pqlambert.integral_psi, 0.3, ()),
+        (pqlambert.integral_psi_quadrature, 0.3, ()),
+    ]
+    return ([(DomainError, fn, args) for fn, args in bool_as_int]
+            + [(UnsupportedError, fn, (a, branch, *rest))
+               for fn, a, rest in branch_calls for branch in ("principal", None)]
+            + [(DomainError, pqlambert.omega_closed_form, (third, -math.inf)),
+               (DomainError, pqlambert.integral_psi_quadrature, (0.5, P, 0.0)),
+               (DomainError, pqlambert.bell, (-1, 0, [])),
+               (UnsupportedError, run_selfcheck, ("x",))])
+
+
+@pytest.mark.parametrize("error, fn, args", [
+    pytest.param(*case, id=f"{case[1].__name__}-{i}") for i, case in enumerate(_bad_arguments())])
+def test_bad_argument_raises_the_library_error(error, fn, args):
+    with pytest.raises(error):
+        fn(*args)
 
 
 class TestBranchConstants:

@@ -1,6 +1,7 @@
 """The package namespace: every exported name, resolved eagerly or on
 first access, is the object of the module that defines it."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -79,3 +80,42 @@ def test_import_loads_only_core_and_branches():
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == str(["pqlambert", "pqlambert._rootfind",
                                       "pqlambert.branches", "pqlambert.core"])
+
+
+class _ArgumentRules(ast.NodeVisitor):
+    """Collects the raises of a bare ValueError/TypeError and the functions
+    that test isinstance(..., int)."""
+
+    def __init__(self, module):
+        self.scope, self.bare_raises, self.int_checks = [module], [], set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name) and exc.id in ("ValueError", "TypeError"):
+            self.bare_raises.append(f"{'.'.join(self.scope)}:{node.lineno}")
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if (isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2 and isinstance(node.args[1], ast.Name)
+                and node.args[1].id == "int"):
+            self.int_checks.add(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_arguments_are_checked_by_the_core_rules_alone():
+    """A bad argument raises one of the library's errors, and the integer
+    rule lives only in core._check_int, so no module grows its own copy."""
+    bare_raises, int_checks = [], set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "pqlambert").glob("*.py")):
+        rules = _ArgumentRules(path.stem)
+        rules.visit(ast.parse(path.read_text(encoding="utf-8")))
+        bare_raises += rules.bare_raises
+        int_checks |= rules.int_checks
+    assert bare_raises == []
+    assert int_checks == {"core._check_int"}
