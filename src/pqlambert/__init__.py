@@ -13,42 +13,17 @@ from . import branches, core
 from .branches import *  # noqa: F403 -- the names in branches.__all__
 from .core import *  # noqa: F403 -- the names in core.__all__
 
-_LAZY = {
-    "series": (
-        "SeriesExpansion",
-        "SeriesKind",
-        "asymptotic_psi0",
-        "asymptotic_psi1",
-        "asymptotic_tail_coeffs",
-        "bell",
-        "branch_point_series",
-        "derivative_series_check",
-        "envelope_crossover_estimates",
-        "psi0_bounds",
-        "psi1_bounds",
-        "taylor_at_zero",
-    ),
-    "calculus": (
-        "PnPolynomial",
-        "integral_omega",
-        "integral_omega_quadrature",
-        "integral_psi",
-        "integral_psi_quadrature",
-        "pn_next",
-        "pn_sequence",
-        "psi_derivative",
-        "psi_primitive",
-    ),
+_LAZY = {  # each lazily loaded module's exports; the module's __all__ is its entry
+    "series": ("SeriesExpansion", "SeriesKind", "asymptotic_psi0", "asymptotic_psi1",
+               "asymptotic_tail_coeffs", "bell", "branch_point_series",
+               "derivative_series_check", "envelope_crossover_estimates", "psi0_bounds",
+               "psi1_bounds", "taylor_at_zero"),
+    "calculus": ("PnPolynomial", "integral_omega", "integral_omega_quadrature", "integral_psi",
+                 "integral_psi_quadrature", "pn_next", "pn_sequence", "psi_derivative",
+                 "psi_primitive"),
     "parametrize": ("AlphaPoint", "param_alpha", "param_beta"),
-    "pqbinom": (
-        "DegenerateRatioError",
-        "PqDistribution",
-        "PqParams",
-        "build_distribution",
-        "equal_ratio_residual",
-        "log_pq_binomial",
-        "peak_drift",
-    ),
+    "pqbinom": ("DegenerateRatioError", "PqDistribution", "PqParams", "build_distribution",
+                "equal_ratio_residual", "log_pq_binomial", "peak_drift"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -7,8 +7,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
 from ._rootfind import newton_bracketed
 from .core import (
@@ -47,36 +46,36 @@ _SQRT3 = math.sqrt(3.0)
 
 
 class ClosedFormTag(enum.Enum):
-    """Which special rational asymmetry (if any) a parameter matches exactly."""
+    """Which special rational (num, den) asymmetry, if any, a parameter matches exactly."""
 
-    A13 = Fraction(1, 3)
-    A12 = Fraction(1, 2)
-    A15 = Fraction(1, 5)
-    A35 = Fraction(3, 5)
-    A17 = Fraction(1, 7)
+    A13 = (1, 3)
+    A12 = (1, 2)
+    A15 = (1, 5)
+    A35 = (3, 5)
+    A17 = (1, 7)
     NONE = None
 
     @classmethod
     def classify(cls, a) -> "ClosedFormTag":
         p = as_param(a)
         if p.exact is not None:
+            ratio = p.exact.as_integer_ratio()
             for tag in cls:
-                if tag.value is not None and p.exact == tag.value:
+                if tag.value == ratio:
                     return tag
         return cls.NONE
 
 
-@dataclass(frozen=True)
-class PsiQuery:
-    """Validated evaluation request for one inverse branch."""
+class PsiQuery(namedtuple("PsiQuery", "a branch x")):
+    """Validated evaluation request for one inverse branch: ``a`` (an
+    AsymmetryParam), ``branch`` and ``x`` (a float on that branch)."""
 
-    a: AsymmetryParam
-    branch: BranchId
-    x: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_param(self.a))
-        object.__setattr__(self, "x", _check_branch_domain(self.a, self.branch, self.x)[1])
+    def __new__(cls, a, branch: BranchId, x: float):
+        a = as_param(a)
+        return super().__new__(cls, a, branch, _check_branch_domain(a, branch, x)[1])
 
 
 def _bp_seed(bc, t: float, sign: float, a: float) -> float:
@@ -390,6 +389,10 @@ def _omega_15(z: float) -> float:
     return _psi_15(branch, forward(AsymmetryParam(0.2), z))
 
 
+OMEGA_CLOSED_FORMS = {ClosedFormTag.A13: _omega_13, ClosedFormTag.A12: _omega_12,
+                      ClosedFormTag.A15: _omega_15}
+
+
 def omega_closed_form(a, z: float) -> float:
     """Closed-form transition function for a in {1/3, 1/2, 1/5}.
 
@@ -397,18 +400,13 @@ def omega_closed_form(a, z: float) -> float:
     other two compose the closed-form branches with the forward map,
     switching pieces at z = w_min.
     """
-    p = as_param(a)
-    tag = ClosedFormTag.classify(p)
+    tag = ClosedFormTag.classify(a)
     z = _check_z(z)
-    if tag is ClosedFormTag.A13:
-        return _omega_13(z)
-    if tag is ClosedFormTag.A12:
-        return _omega_12(z)
-    if tag is ClosedFormTag.A15:
-        return _omega_15(z)
-    raise UnsupportedError(
-        "closed-form transition exists only for a in {1/3, 1/2, 1/5} "
-        "constructed as exact rationals")
+    if tag not in OMEGA_CLOSED_FORMS:
+        raise UnsupportedError(
+            "closed-form transition exists only for a in {1/3, 1/2, 1/5} "
+            "constructed as exact rationals")
+    return OMEGA_CLOSED_FORMS[tag](z)
 
 
 def omega_finite_n(n: int, a, z: float) -> float:

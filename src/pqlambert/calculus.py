@@ -6,10 +6,10 @@ quadrature for the transition-function integral identity."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from . import branches
+from . import _LAZY, branches
 from .core import (
     AccuracyError,
     AsymmetryParam,
@@ -29,25 +29,14 @@ from .core import (
 )
 from .series import _local_coeffs, _revert
 
-__all__ = [
-    "PnPolynomial",
-    "integral_omega",
-    "integral_omega_quadrature",
-    "integral_psi",
-    "integral_psi_quadrature",
-    "pn_next",
-    "pn_sequence",
-    "psi_derivative",
-    "psi_primitive",
-]
+__all__ = list(_LAZY["calculus"])
 
 DERIVATIVE_ORDER_MAX = 8
 _TS_T_MAX = 4.0   # tanh-sinh nodes beyond t = 4 lie within 1e-37*r of an endpoint
 _TS_LEVELS = 10   # finest step 2^-10: at most 8193 nodes per integral
 
 
-@dataclass(frozen=True)
-class PnPolynomial:
+class PnPolynomial(NamedTuple):
     """Numerator polynomial of the n-th derivative formula.
 
     Sparse map from (i, j) to the coefficient of X^i Y^j, where

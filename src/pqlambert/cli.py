@@ -53,13 +53,12 @@ def _emit_records(records, fieldnames, fmt, out):
 def _parse_a(text: str) -> core.AsymmetryParam:
     num, slash, den = text.strip().partition("/")
     try:
-        if slash:
-            return core.AsymmetryParam.from_rational(int(num), int(den))
-        return core.AsymmetryParam(float(num))
-    except core.DomainError:
-        raise
-    except (ValueError, ZeroDivisionError):
-        raise core.DomainError(f"--a must be a decimal or 'num/den', got {text!r}") from None
+        num, den = (int(num), int(den)) if slash else (float(num), None)
+    except ValueError:
+        den = 0
+    if den == 0:
+        raise core.DomainError(f"--a must be a decimal or 'num/den', got {text!r}")
+    return core.AsymmetryParam(num) if den is None else core.AsymmetryParam.from_rational(num, den)
 
 
 def _die_domain(message: str):
@@ -167,9 +166,7 @@ def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
             elif function == "omega":
                 if z is None:
                     raise core.DomainError("--z is required")
-                tag = branches.ClosedFormTag.classify(a)
-                if tag in (branches.ClosedFormTag.A13, branches.ClosedFormTag.A12,
-                           branches.ClosedFormTag.A15):
+                if branches.ClosedFormTag.classify(a) in branches.OMEGA_CLOSED_FORMS:
                     value = branches.omega_closed_form(a, z)
                 else:
                     value = branches.omega(a, z)
@@ -235,10 +232,8 @@ def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
         grid = _sweep_grid(lo, hi, count, scale)
     except core.DomainError as exc:
         _die_domain(str(exc))
-    tag = branches.ClosedFormTag.classify(a) if needs_a else branches.ClosedFormTag.NONE
     with_closed = (function == "omega"
-                   and tag in (branches.ClosedFormTag.A13, branches.ClosedFormTag.A12,
-                               branches.ClosedFormTag.A15))
+                   and branches.ClosedFormTag.classify(a) in branches.OMEGA_CLOSED_FORMS)
     input_name = {"f": "w", "psi0": "x", "psi1": "x", "omega": "z",
                   "W0": "x", "Wm1": "x"}[function]
 
@@ -398,7 +393,7 @@ def cmd_envelope(a_text, fmt):
         a = _parse_a(a_text)
         rec = {"a": a.a, **series.envelope_crossover_estimates(a)}
         _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
-    except core.DomainError as exc:
+    except (core.DomainError, core.RangeError) as exc:
         _die_domain(str(exc))
 
 
@@ -434,23 +429,28 @@ def _attach_values(argv):
     return out
 
 
-def _parser(prog):
+def _parser(prog, argv):
+    """The parser for argv.  When argv starts with a verb, argparse hands
+    every later token to that verb's sub-parser and consults no other, so
+    only that one is built; otherwise (help, usage errors) all are."""
+    verb = argv[0] if argv and argv[0] in main.commands else None
     parser = argparse.ArgumentParser(prog=prog, description=main.__doc__,
                                      allow_abbrev=False)
     verbs = parser.add_subparsers(dest="verb", required=True, metavar="COMMAND")
     for name, command in main.commands.items():
-        sub = verbs.add_parser(name, help=command.doc, description=command.doc,
-                               allow_abbrev=False)
-        for flags, kwargs in command.arguments:
-            sub.add_argument(*flags, **kwargs)
+        if verb in (None, name):
+            sub = verbs.add_parser(name, help=command.doc, description=command.doc,
+                                   allow_abbrev=False)
+            for flags, kwargs in command.arguments:
+                sub.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(args=None, prog_name=None):
     """Inverse branches of sinh(a*w)*exp(w), their transition function,
     and p,q-binomial distribution tools."""
-    argv = sys.argv[1:] if args is None else list(args)
-    options = vars(_parser(prog_name).parse_args(_attach_values(argv)))
+    argv = _attach_values(sys.argv[1:] if args is None else list(args))
+    options = vars(_parser(prog_name, argv).parse_args(argv))
     main.commands[options.pop("verb")].callback(**options)
 
 

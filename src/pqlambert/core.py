@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -85,37 +84,70 @@ class BranchId(enum.Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
+def _real(name: str, value) -> float:
+    """float(value), raising DomainError where value is not a real number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
 class AsymmetryParam:
     """Asymmetry parameter of the forward map, validated to lie in [0, 1].
 
     ``exact`` holds the rational value when constructed through
     :meth:`from_rational`; closed-form dispatch keys on it exactly, never
-    on a floating-point comparison.
+    on a floating-point comparison.  ``kind`` (a ParamKind) is derived at
+    construction and takes no part in equality, hashing or repr.  The
+    instance is immutable and, unlike the other records, not a tuple.
     """
 
-    a: float
-    exact: Fraction | None = None
-    kind: ParamKind = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "exact", "kind")
 
-    def __post_init__(self):
-        a = self.a
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise DomainError(f"asymmetry parameter must be a real number, got {a!r}")
-        a = float(a)
-        if not math.isfinite(a):
-            raise DomainError(f"asymmetry parameter must be finite, got {a!r}")
+    def __init__(self, a: float, exact=None):
+        if a.__class__ is not float:
+            if isinstance(a, bool) or not isinstance(a, (int, float)):
+                raise DomainError(f"asymmetry parameter must be a real number, got {a!r}")
+            a = _real("asymmetry parameter", a)
         if not 0.0 <= a <= 1.0:
+            if not math.isfinite(a):
+                raise DomainError(f"asymmetry parameter must be finite, got {a!r}")
             raise DomainError(f"asymmetry parameter must lie in [0, 1], got {a!r}")
-        object.__setattr__(self, "a", a)
-        if self.exact is not None and float(self.exact) != a:
+        if exact is not None and float(exact) != a:
             raise DomainError("exact rational does not match the float value")
-        object.__setattr__(self, "kind", ParamKind.ZERO_LIMIT if a == 0.0 else
-                           ParamKind.ONE_LIMIT if a == 1.0 else ParamKind.INTERIOR)
+        setter = object.__setattr__
+        setter(self, "a", a)
+        setter(self, "exact", exact)
+        setter(self, "kind", ParamKind.ZERO_LIMIT if a == 0.0 else
+               ParamKind.ONE_LIMIT if a == 1.0 else ParamKind.INTERIOR)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.exact) == (other.a, other.exact)
+
+    def __hash__(self):
+        return hash((self.a, self.exact))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(a={self.a!r}, exact={self.exact!r})"
+
+    def __reduce__(self):
+        return type(self), (self.a, self.exact)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def from_rational(cls, num: int, den: int) -> "AsymmetryParam":
-        frac = Fraction(num, den)
+        from fractions import Fraction
+
+        try:
+            frac = Fraction(num, den)
+        except (TypeError, ZeroDivisionError):
+            raise DomainError(f"needs integers num/den, den != 0, got {num!r}/{den!r}") from None
         return cls(float(frac), frac)
 
 
@@ -123,10 +155,13 @@ def as_param(a) -> AsymmetryParam:
     """Coerce a float, Fraction, or AsymmetryParam into an AsymmetryParam."""
     if isinstance(a, AsymmetryParam):
         return a
-    # a float is never a Fraction; the test against the Fraction ABC is slow
-    if not isinstance(a, float) and isinstance(a, Fraction):
+    if isinstance(a, float):
+        return AsymmetryParam(a)
+    # whoever holds a Fraction has loaded its module; others need not load it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(a, fractions.Fraction):
         return AsymmetryParam(float(a), a)
-    return AsymmetryParam(float(a))
+    return AsymmetryParam(_real("asymmetry parameter", a))
 
 
 def _interior_param(a) -> AsymmetryParam:
@@ -147,7 +182,7 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
 
 def _check_z(z) -> float:
     """float(z), raising DomainError unless it is finite and negative."""
-    z = float(z)
+    z = _real("z", z)
     if not -math.inf < z < 0.0:
         raise DomainError(f"transition function requires finite z < 0, got {z!r}")
     return z
@@ -155,7 +190,7 @@ def _check_z(z) -> float:
 
 def _check_rel_tol(rel_tol: float) -> None:
     """Raise DomainError unless a quadrature tolerance lies in [1e-10, 1e-3]."""
-    if not 1e-10 <= rel_tol <= 1e-3:
+    if not 1e-10 <= _real("rel_tol", rel_tol) <= 1e-3:
         raise DomainError(f"rel_tol must be in [1e-10, 1e-3], got {rel_tol!r}")
 
 
@@ -196,7 +231,7 @@ def forward(a, w: float) -> float:
     Raises RangeError where the value itself exceeds the double range.
     """
     p = as_param(a)
-    w = float(w)
+    w = _real("w", w)
     if not math.isfinite(w):
         raise DomainError(f"w must be finite, got {w!r}")
     aa = p.a
@@ -214,7 +249,7 @@ def forward_dw(a, w: float) -> float:
     minimizer where the two exponential terms cancel.
     """
     p = as_param(a)
-    w = float(w)
+    w = _real("w", w)
     if not math.isfinite(w):
         raise DomainError(f"w must be finite, got {w!r}")
     aa = p.a
@@ -270,7 +305,7 @@ def _check_branch_domain(p: AsymmetryParam, branch: BranchId,
     x lies on the branch; return the branch constants of a (the call's one
     lookup, None at a = 1) and float(x)."""
     lower = not _is_principal(branch)
-    x = float(x)
+    x = _real("x", x)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     if p.kind is ParamKind.ZERO_LIMIT:
@@ -350,7 +385,7 @@ def lambert_w(branch: BranchId, x: float) -> float:
     square-root expansion near the branch point -1/e, a rational guess for
     moderate x, and log(x) - log(log(x)) style asymptotics otherwise.
     """
-    x = float(x)
+    x = _real("x", x)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     # d = e*x + 1 measures the distance to the branch point in natural units

@@ -5,15 +5,15 @@ branches over [f_min, 0)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import AsymmetryParam, DomainError, ParamKind, _interior_param, as_param
+from . import _LAZY
+from .core import DomainError, ParamKind, _interior_param, _real, as_param
 
-__all__ = ["AlphaPoint", "param_alpha", "param_beta"]
+__all__ = list(_LAZY["parametrize"])
 
 
-@dataclass(frozen=True)
-class AlphaPoint:
+class AlphaPoint(NamedTuple):
     """One simultaneous sample of both branches at a common abscissa.
 
     psi0 = log(alpha) + psi1 holds to rounding (each branch value is
@@ -36,7 +36,7 @@ def param_beta(a, beta: float) -> tuple[float, float]:
     p = as_param(a)
     if p.kind is ParamKind.ZERO_LIMIT:
         raise DomainError("parametrization undefined at a=0")
-    beta = float(beta)
+    beta = _real("beta", beta)
     if not 1.0 < beta < math.inf:
         raise DomainError(f"requires finite beta > 1, got {beta!r}")
     aa = p.a
@@ -64,7 +64,7 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
     alpha itself.  alpha sweeps (1, inf) onto x in [f_min, 0).
     """
     p = _interior_param(a)
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not 1.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 1, got {alpha!r}")
     aa = p.a

@@ -9,24 +9,17 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import branches
-from .core import DomainError, _LN2, _check_int, _check_z, as_param
+from . import _LAZY, branches
+from .core import (DomainError, RangeError, _LN2, _LOG_DBL_MAX, _check_int, _check_z, _real,
+                   as_param)
 
 if TYPE_CHECKING:  # for the annotations only
     import numpy as np
 
-__all__ = [
-    "DegenerateRatioError",
-    "PqDistribution",
-    "PqParams",
-    "build_distribution",
-    "equal_ratio_residual",
-    "log_pq_binomial",
-    "peak_drift",
-]
+__all__ = list(_LAZY["pqbinom"])
 
 N_MAX = 2 ** 24          # practical cap for building full distributions
 _EXP_FLOOR = -746.0      # exp(x) rounds to +0.0 for every x below about -745.13
@@ -36,20 +29,18 @@ class DegenerateRatioError(DomainError):
     """The equal-coefficient ratio has a vanishing denominator."""
 
 
-@dataclass(frozen=True)
-class PqParams:
+class PqParams(namedtuple("PqParams", "n p q provenance")):
     """Parameters (n, p, q) of a p,q-binomial coefficient sequence.
 
     ``provenance`` records (a, y, z) when built through the transition
     parameterization p = 1 + 2y/n, q = 1 + 2z/n with z < 0.
     """
 
-    n: int
-    p: float
-    q: float
-    provenance: tuple | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, n: int, p: float, q: float, provenance: tuple | None = None):
+        self = super().__new__(cls, n, p, q, provenance)
         _check_int("n", self.n, 1)
         if not (self.p > 0.0 and self.q > 0.0):
             raise DomainError("p and q must be positive")
@@ -60,6 +51,7 @@ class PqParams:
             _check_z(z)
             if self.p != 1.0 + 2.0 * y / self.n or self.q != 1.0 + 2.0 * z / self.n:
                 raise DomainError("provenance does not reproduce p, q exactly")
+        return self
 
     @classmethod
     def from_transition(cls, n: int, a, z: float, y: float | None = None) -> "PqParams":
@@ -70,7 +62,7 @@ class PqParams:
         """
         _check_int("n", n, 1)
         ap = as_param(a)
-        z = float(z)
+        z = _real("z", z)
         if y is None:
             y = branches.omega(ap, z)
         q = 1.0 + 2.0 * z / n
@@ -79,20 +71,24 @@ class PqParams:
         return cls(n=n, p=1.0 + 2.0 * y / n, q=q, provenance=(ap.a, y, z))
 
 
-@dataclass(frozen=True)
-class PqDistribution:
+class PqDistribution(NamedTuple):
     """Normalized p,q-binomial distribution in the log domain.
 
     ``log_coeffs[k]`` is the natural log of the k-th coefficient,
     symmetric under k <-> n-k by construction; ``log_norm`` is the
     log-sum-exp normalizer; ``peaks`` lists the strict local maxima
     (1 or 2 of them), plateaus collapsing to their smallest index.
+    The repr leaves out the n+1 log-coefficients.
     """
 
     params: PqParams
-    log_coeffs: np.ndarray = field(repr=False)
+    log_coeffs: np.ndarray
     log_norm: float
     peaks: tuple
+
+    def __repr__(self):
+        return (f"PqDistribution(params={self.params!r}, log_norm={self.log_norm!r}, "
+                f"peaks={self.peaks!r})")
 
     def masses(self) -> np.ndarray:
         """Probability masses exp(log_coeffs - log_norm), summing to 1."""
@@ -262,10 +258,17 @@ def equal_ratio_residual(params: PqParams, k: int) -> float:
     if p == 1.0:
         return -1.0
     lp, lq = math.log(p), math.log(q)
-    log_num = k * lp + math.log(abs(math.expm1(d * lp)))
-    log_den = k * lq + math.log(abs(math.expm1(d * lq)))
+    log_num = k * lp + _log_abs_expm1(d * lp)
+    log_den = k * lq + _log_abs_expm1(d * lq)
     sign = 1.0 if (p - 1.0) * (q - 1.0) > 0.0 else -1.0
+    if log_num - log_den > _LOG_DBL_MAX:
+        raise RangeError(f"the coefficient ratio exceeds the double range for {params!r}")
     return sign * math.exp(log_num - log_den) - 1.0
+
+
+def _log_abs_expm1(t: float) -> float:
+    """log|exp(t) - 1|, which is t to double precision where exp(t) overflows."""
+    return t if t > _LOG_DBL_MAX else math.log(abs(math.expm1(t)))
 
 
 def peak_drift(n: int, a, z: float) -> tuple[int, float]:

@@ -9,7 +9,7 @@ fault injected into any module is caught by the relevant suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import branches, calculus, core, parametrize, pqbinom, series
 
@@ -18,8 +18,7 @@ __all__ = ["SuiteResult", "run_selfcheck"]
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     worst: float
@@ -196,8 +195,7 @@ def _suite_envelopes(level):
     worst = 0.0
     count = 60 if level == "fast" else 300
     for af in (0.1, 0.45, 0.9):
-        gap = abs(1.0 / 3.0 - af)
-        thr = 0.5 * (1.0 + 1.0 / math.expm1(gap)) ** ((1.0 + af) / (2.0 * af))
+        thr = series._envelope_threshold(af)
         for i in range(count):
             x = thr * 1000.0 ** (i / (count - 1))
             lo, hi = series.psi0_bounds(af, x)

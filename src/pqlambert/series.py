@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
+from . import _LAZY
 from .core import (
-    AsymmetryParam,
     BranchId,
     DomainError,
     RangeError,
@@ -20,23 +20,11 @@ from .core import (
     _check_branch_domain,
     _check_int,
     _interior_param,
+    _real,
     branch_constants,
 )
 
-__all__ = [
-    "SeriesExpansion",
-    "SeriesKind",
-    "asymptotic_psi0",
-    "asymptotic_psi1",
-    "asymptotic_tail_coeffs",
-    "bell",
-    "branch_point_series",
-    "derivative_series_check",
-    "envelope_crossover_estimates",
-    "psi0_bounds",
-    "psi1_bounds",
-    "taylor_at_zero",
-]
+__all__ = list(_LAZY["series"])
 
 TAYLOR_ORDER_MAX = 40   # double precision is exhausted well before this
 BRANCH_POINT_ORDER_MAX = 12
@@ -52,29 +40,29 @@ class SeriesKind(enum.Enum):
     ASYMPTOTIC_PSI1 = "asymptotic_psi1"
 
 
-@dataclass(frozen=True)
-class SeriesExpansion:
+class SeriesExpansion(namedtuple("SeriesExpansion", "kind a coeffs order arg_transform "
+                                                    "value_offset valid_radius")):
     """Ordered coefficients of one expansion plus its argument mapping.
 
-    ``coeffs`` has exactly ``order`` entries.  ``arg_transform`` and
-    ``value_offset`` document the mapping in text; :meth:`evaluate` applies
-    it.  ``valid_radius`` bounds the transformed argument for which the
-    series converges (branch-point kinds) or is intended (asymptotics).
+    ``kind`` is a SeriesKind and ``a`` an AsymmetryParam.  ``coeffs`` has
+    exactly ``order`` entries.  ``arg_transform`` and ``value_offset``
+    document the mapping in text; :meth:`evaluate` applies it.
+    ``valid_radius`` bounds the transformed argument for which the series
+    converges (branch-point kinds) or is intended (asymptotics).
     """
 
-    kind: SeriesKind
-    a: AsymmetryParam
-    coeffs: tuple
-    order: int
-    arg_transform: str
-    value_offset: str
-    valid_radius: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
 
-    def __post_init__(self):
+    def __new__(cls, kind: SeriesKind, a, coeffs: tuple, order: int, arg_transform: str,
+                value_offset: str, valid_radius: float):
+        self = super().__new__(cls, kind, a, coeffs, order, arg_transform, value_offset,
+                               valid_radius)
         if len(self.coeffs) != self.order:
             raise DomainError("coefficient count must equal the order")
         if not all(math.isfinite(c) for c in self.coeffs):
             raise RangeError("coefficients must be finite")
+        return self
 
     def evaluate(self, x: float) -> float:
         """Evaluate the expansion at the function's natural argument."""
@@ -306,7 +294,7 @@ def asymptotic_psi0(a, x: float, terms: int = 3) -> float:
     Intended for x >= 10; accuracy simply degrades below that.
     """
     p = _interior_param(a)
-    x = float(x)
+    x = _real("x", x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"requires finite x > 0, got {x!r}")
     aa = p.a
@@ -329,6 +317,17 @@ def asymptotic_psi1(a, x: float, terms: int = 3) -> float:
     return math.log(-2.0 * x) / (1.0 - aa) + _horner(asymptotic_tail_coeffs(p, "psi1", terms), z)
 
 
+def _envelope_threshold(aa: float) -> float:
+    """(1 + 1/(exp(|1/3-a|)-1))^((1+a)/(2a))/2, where psi0_bounds' envelope
+    starts (a != 1/3), or inf where it passes the double range (a below
+    about 8.9e-4).  The power is taken directly, not as exp(log), so every
+    finite threshold keeps its bits."""
+    try:
+        return 0.5 * (1.0 + 1.0 / math.expm1(abs(1.0 / 3.0 - aa))) ** ((1.0 + aa) / (2.0 * aa))
+    except OverflowError:
+        return math.inf
+
+
 def psi0_bounds(a, x: float) -> tuple[float, float]:
     """Two-sided envelope of the principal branch for large x.
 
@@ -341,8 +340,8 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
     gap = abs(1.0 / 3.0 - aa)
     if gap == 0.0 or (p.exact is not None and p.exact * 3 == 1):
         raise UnsupportedError("the envelope excludes a = 1/3")
-    x = float(x)
-    threshold = 0.5 * (1.0 + 1.0 / math.expm1(gap)) ** ((1.0 + aa) / (2.0 * aa))
+    x = _real("x", x)
+    threshold = _envelope_threshold(aa)
     if not threshold <= x < math.inf:
         raise DomainError(f"x = {x!r} outside [{threshold!r}, inf), the envelope's range")
     y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
@@ -365,8 +364,9 @@ def envelope_crossover_estimates(a) -> dict:
     p = _interior_param(a)
     aa = p.a
     gap = abs(1.0 / 3.0 - aa)
-    out = {"theorem_threshold": math.inf if gap == 0.0 else
-           0.5 * (1.0 + 1.0 / math.expm1(gap)) ** ((1.0 + aa) / (2.0 * aa))}
+    out = {"theorem_threshold": math.inf if gap == 0.0 else _envelope_threshold(aa)}
+    if gap != 0.0 and out["theorem_threshold"] == math.inf:
+        raise RangeError(f"the envelope threshold at a = {aa!r} exceeds the double range")
     if aa < 1.0 / 3.0:
         out["lower_holds_from"] = math.exp(-29.0 / 4.0) / gap ** 2
     else:
@@ -386,7 +386,7 @@ def psi1_bounds(a, x: float) -> tuple[float, float, float]:
     """
     p = _interior_param(a)
     aa = p.a
-    x = float(x)
+    x = _real("x", x)
     lo_end = -0.5 * ((1.0 - aa) / (6.0 * aa + 2.0)) ** ((1.0 - aa) / (2.0 * aa))
     if not lo_end <= x < 0.0:
         raise DomainError(f"x = {x!r} outside the envelope range [{lo_end!r}, 0)")

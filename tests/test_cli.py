@@ -385,6 +385,13 @@ class TestArgumentParsing:
         assert runner.invoke(main, ["eval", "omega", "--format", "xml"]).exit_code == 2
         assert runner.invoke(main, ["sweep", "f", "--a", "0.5", "--lo", "1"]).exit_code == 2
 
+    def test_tiny_a_envelope_is_an_error_line(self, runner):
+        # an error line, not a traceback
+        res = runner.invoke(main, ["envelope", "--a", "1e-300"])
+        assert res.exit_code == 2
+        assert res.stderr == ("error: the envelope threshold at a = 1e-300 "
+                              "exceeds the double range\n")
+
     def test_replaced_callback_is_called(self, runner, monkeypatch):
         command = main.commands["eval"]
         calls = []
@@ -413,3 +420,84 @@ def test_cli_import_loads_only_core_and_branches():
     res = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "[]"
+
+
+# Help and usage texts as argparse prints them with every sub-parser built;
+# building only the invoked verb's sub-parser must not change them.
+TOP_HELP = """\
+usage: pqlambert [-h] COMMAND ...
+
+Inverse branches of sinh(a*w)*exp(w), their transition function, and
+p,q-binomial distribution tools.
+
+positional arguments:
+  COMMAND
+    eval      Evaluate one function value with a residual diagnostic.
+    sweep     Evaluate a function on a grid; domain violations flag the row.
+    series    Print expansion coefficients (index, exponent, coefficient).
+    integrate
+              Closed-form integral, quadrature value, and their difference.
+    pqdist    Write the distribution as CSV plus a JSON sidecar with peak
+              data.
+    envelope  Exploratory envelope diagnostics: the rigorous threshold plus
+              rough empirical crossover estimates (not contractual).
+    selfcheck
+              Run the identity suites; exit 0 only if every suite passes.
+
+options:
+  -h, --help  show this help message and exit
+"""
+EVAL_HELP = """\
+usage: pqlambert eval [-h] [--a A] [--x X] [--z Z] [--n N_VALUE]
+                      [--branch {principal,lower}] [--format {csv,json}]
+                      {f,psi,psi0,psi1,omega,omega_n,W0,Wm1}
+
+Evaluate one function value with a residual diagnostic.
+
+positional arguments:
+  {f,psi,psi0,psi1,omega,omega_n,W0,Wm1}
+
+options:
+  -h, --help            show this help message and exit
+  --a A                 asymmetry, decimal or exact 'num/den'
+  --x X                 abscissa for f/psi0/psi1/W0/Wm1 (w for f)
+  --z Z                 argument for omega/omega_n
+  --n N_VALUE           sequence length for omega_n
+  --branch {principal,lower}
+                        branch selector for the generic 'psi'
+  --format {csv,json}
+"""
+USAGE = "usage: pqlambert [-h] COMMAND ...\npqlambert: error: "
+
+
+@pytest.mark.parametrize("args, code, stdout, stderr", [
+    (["--help"], 0, TOP_HELP, ""),
+    (["eval", "--help"], 0, EVAL_HELP, ""),
+    (["eval", "omega", "--zz", "-5"], 2, "", USAGE + "unrecognized arguments: --zz=-5\n"),
+    (["bogus"], 2, "", USAGE + "argument COMMAND: invalid choice: 'bogus' (choose from "
+     "'eval', 'sweep', 'series', 'integrate', 'pqdist', 'envelope', 'selfcheck')\n"),
+    ([], 2, "", USAGE + "the following arguments are required: COMMAND\n"),
+])
+def test_help_and_usage_texts(runner, monkeypatch, args, code, stdout, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.output[:len(res.output) - len(res.stderr)], res.stderr) == (
+        code, stdout, stderr)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),  # the import alone
+    (["eval", "omega", "--a", "0.37", "--z", "-5"], []),
+    (["eval", "omega", "--a", "1/3", "--z", "-5"], ["fractions"]),
+])
+def test_cli_process_imports(argv, loaded):
+    """dataclasses is never imported, and fractions only for a num/den --a."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    call = f"main(args={argv!r})" if argv else "pass"
+    probe = (f"import sys\nfrom pqlambert.cli import main\ntry:\n    {call}\n"
+             "except SystemExit:\n    pass\n"
+             "print([m for m in ('dataclasses', 'fractions') if m in sys.modules], "
+             "file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert res.stderr.strip() == str(loaded)

@@ -167,7 +167,11 @@ def _bad_arguments():
             + [(DomainError, pqlambert.omega_closed_form, (third, -math.inf)),
                (DomainError, pqlambert.integral_psi_quadrature, (0.5, P, 0.0)),
                (DomainError, pqlambert.bell, (-1, 0, [])),
-               (UnsupportedError, run_selfcheck, ("x",))])
+               (UnsupportedError, run_selfcheck, ("x",))]
+            + [(DomainError, as_param, ("abc",)),  # a wrong type: not Python's own error
+               (DomainError, pqlambert.psi, (0.3, P, "abc")),
+               (DomainError, pqlambert.integral_omega_quadrature, (0.5, "x")),
+               (DomainError, AsymmetryParam.from_rational, (1, 0))])
 
 
 @pytest.mark.parametrize("error, fn, args", [

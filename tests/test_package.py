@@ -4,6 +4,7 @@ first access, is the object of the module that defines it."""
 import ast
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import pqlambert
+from pqlambert.calculus import pn_first
+from pqlambert.selfcheck import SuiteResult
 
 EXPORTS = {
     "core": [
@@ -119,3 +122,81 @@ def test_arguments_are_checked_by_the_core_rules_alone():
         int_checks |= rules.int_checks
     assert bare_raises == []
     assert int_checks == {"core._check_int"}
+
+
+def test_no_module_imports_dataclasses():
+    """Importing dataclasses costs more than a CLI solve (it loads inspect
+    and ast), so no record of the library is a dataclass."""
+    src = Path(__file__).resolve().parents[1] / "src" / "pqlambert"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for n in names if n == "dataclasses"]
+    assert found == []
+
+
+_P = pqlambert.BranchId.PRINCIPAL
+_PQ = "PqParams(n=8, p=1.1, q=0.9, provenance=None)"
+RECORDS = [  # (build, build a different one, repr, hashable, a field)
+    (lambda: pqlambert.AsymmetryParam.from_rational(1, 2), lambda: pqlambert.AsymmetryParam(0.5),
+     "AsymmetryParam(a=0.5, exact=Fraction(1, 2))", True, "a"),
+    (lambda: pqlambert.PsiQuery(0.5, _P, 1.0), lambda: pqlambert.PsiQuery(0.5, _P, 2.0),
+     "PsiQuery(a=AsymmetryParam(a=0.5, exact=None), "
+     "branch=<BranchId.PRINCIPAL: 'principal'>, x=1.0)", True, "x"),
+    (lambda: pn_first(0.5), lambda: pn_first(0.25),
+     "PnPolynomial(n=1, a=AsymmetryParam(a=0.5, exact=None), terms={(0, 0): 1.0})", False, "n"),
+    (lambda: pqlambert.param_alpha(0.5, 2.0), lambda: pqlambert.param_alpha(0.5, 3.0),
+     "AlphaPoint(alpha=2.0, x=-0.18406900993524478, psi0=-0.7916825090613853, "
+     "psi1=-1.4848296896213302)", True, "x"),
+    (lambda: pqlambert.PqParams(8, 1.1, 0.9), lambda: pqlambert.PqParams(8, 1.1, 0.8),
+     _PQ, True, "p"),
+    (lambda: pqlambert.PqParams.from_transition(8, 0.5, -1.0, -0.5),
+     lambda: pqlambert.PqParams(8, 0.875, 0.75),
+     "PqParams(n=8, p=0.875, q=0.75, provenance=(0.5, -0.5, -1.0))", True, "provenance"),
+    (lambda: SuiteResult("x", True, 0.5, 1.0), lambda: SuiteResult("x", False, 0.5, 1.0),
+     "SuiteResult(name='x', passed=True, worst=0.5, threshold=1.0)", True, "passed"),
+    (lambda: pqlambert.taylor_at_zero(0.5, 2), lambda: pqlambert.taylor_at_zero(0.5, 3),
+     "SeriesExpansion(kind=<SeriesKind.TAYLOR_AT_ZERO: 'taylor_at_zero'>, "
+     "a=AsymmetryParam(a=0.5, exact=None), coeffs=(2.0, -4.0), order=2, arg_transform='x', "
+     "value_offset='0', valid_radius=0.1924500897298753)", True, "coeffs"),
+]
+
+
+@pytest.mark.parametrize("build, other, text, hashable, field", RECORDS,
+                         ids=[r[2].partition("(")[0] for r in RECORDS])
+def test_record_contract(build, other, text, hashable, field):
+    """Each record keeps the equality, hash, repr and immutability it had
+    as a frozen dataclass, and survives a pickle round trip."""
+    rec = build()
+    assert rec == build() and rec != other() and repr(rec) == text
+    if hashable:
+        assert hash(rec) == hash(build()) and pickle.loads(pickle.dumps(rec)) == rec
+    else:
+        with pytest.raises(TypeError):
+            hash(rec)
+    with pytest.raises(AttributeError):
+        setattr(rec, field, None)
+    with pytest.raises(AttributeError):
+        delattr(rec, field)
+
+
+def test_replace_validates():
+    with pytest.raises(pqlambert.DomainError):
+        pqlambert.PqParams(8, 1.1, 0.9)._replace(n=0)
+    with pytest.raises(pqlambert.DomainError):
+        pqlambert.PsiQuery(0.5, _P, 1.0)._replace(x=-1.0)
+    with pytest.raises(pqlambert.DomainError):
+        pqlambert.taylor_at_zero(0.5, 2)._replace(order=3)
+    assert pqlambert.PqParams(8, 1.1, 0.9)._replace(q=0.8) == pqlambert.PqParams(8, 1.1, 0.8)
+
+
+def test_distribution_repr_leaves_out_the_coefficients():
+    dist = pqlambert.build_distribution(pqlambert.PqParams(8, 1.1, 0.9))
+    assert repr(dist) == f"PqDistribution(params={_PQ}, log_norm=5.682628115687936, peaks=(4,))"
+    assert dist == dist
+    with pytest.raises(TypeError):
+        hash(dist)
+    with pytest.raises(AttributeError):
+        dist.peaks = ()

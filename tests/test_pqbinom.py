@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pqlambert.core import AsymmetryParam, DomainError, as_param
+from pqlambert.core import AsymmetryParam, DomainError, RangeError, as_param
 from pqlambert.branches import omega, omega_finite_n
 from pqlambert.pqbinom import (
     DegenerateRatioError,
@@ -304,6 +304,16 @@ class TestEqualRatioResidual:
             equal_ratio_residual(PqParams(n=3, p=1.1, q=0.9), 2)
         with pytest.raises(DegenerateRatioError):
             equal_ratio_residual(PqParams(n=9, p=1.0, q=0.9), 5)
+
+    def test_ratio_beyond_the_double_range(self):
+        # p^d and the ratio pass the double range: RangeError, not OverflowError
+        with pytest.raises(RangeError):
+            equal_ratio_residual(PqParams(8, 1e300, 0.5), 3)
+        with pytest.raises(RangeError):
+            equal_ratio_residual(PqParams(8, 1e100, 0.5), 3)
+        # both powers overflow, their ratio (p/q)^(n-k+1) = 1e6 does not
+        assert equal_ratio_residual(PqParams(8, 1e300, 1e299), 3) == pytest.approx(1e6 - 1,
+                                                                                    rel=1e-9)
 
     def test_trivial_numerator(self):
         assert equal_ratio_residual(PqParams(n=10, p=1.0, q=0.9), 2) == -1.0

@@ -14,6 +14,7 @@ from pqlambert.core import (
     AsymmetryParam,
     BranchId,
     DomainError,
+    RangeError,
     UnsupportedError,
     branch_constants,
 )
@@ -26,6 +27,7 @@ from pqlambert.series import (
     bell,
     branch_point_series,
     derivative_series_check,
+    envelope_crossover_estimates,
     psi0_bounds,
     psi1_bounds,
     taylor_at_zero,
@@ -379,6 +381,23 @@ class TestBounds:
             psi1_bounds(0.5, -1.0)
         with pytest.raises(DomainError):
             psi1_bounds(0.5, 0.0)
+
+    @pytest.mark.parametrize("a", [1e-300, 8.8e-4, 5e-324])
+    def test_threshold_beyond_the_double_range(self, a):
+        # (1 + 1/expm1(1/3 - a))^((1+a)/(2a)) overflows: the library's errors
+        with pytest.raises(DomainError):
+            psi0_bounds(a, 1e300)
+        with pytest.raises(RangeError):
+            envelope_crossover_estimates(a)
+
+    def test_largest_finite_threshold_keeps_its_value(self):
+        # near the smallest a whose threshold is finite: it keeps its bits
+        a = 8.904365e-4
+        thr = envelope_crossover_estimates(a)["theorem_threshold"]
+        assert thr == 0.5 * (1.0 + 1.0 / math.expm1(1.0 / 3.0 - a)) ** ((1.0 + a) / (2.0 * a))
+        assert 8.9e307 < thr < math.inf
+        lo, hi = psi0_bounds(a, thr)
+        assert lo < psi(a, P, thr) < hi
 
     @given(st.floats(0.02, 0.98))
     @settings(max_examples=200, deadline=None)
