@@ -11,23 +11,22 @@ from collections import namedtuple
 
 from ._rootfind import newton_bracketed
 from .core import (
-    AsymmetryParam,
     BranchConstants,
     BranchId,
     ConvergenceError,
     DomainError,
-    ParamKind,
     RangeError,
     UnsupportedError,
     _LN2,
     _LOG_DBL_MAX,
+    _a_value,
     _check_branch_domain,
     _check_int,
     _check_z,
     _constants_for,
     _domain_tol,
+    _f,
     as_param,
-    forward,
     lambert_w,
 )
 
@@ -75,7 +74,7 @@ class PsiQuery(namedtuple("PsiQuery", "a branch x")):
 
     def __new__(cls, a, branch: BranchId, x: float):
         a = as_param(a)
-        return super().__new__(cls, a, branch, _check_branch_domain(a, branch, x)[1])
+        return super().__new__(cls, a, branch, _check_branch_domain(a.a, branch, x)[1])
 
 
 def _bp_seed(bc, t: float, sign: float, a: float) -> float:
@@ -117,7 +116,7 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
         s = math.expm1(2.0 * a * w)
         return 0.5 * e * s - x, 0.5 * e * ((1.0 + a) * s + 2.0 * a)
 
-    t = (x - fmin) / scale  # branch-point coordinate, in [0, 1/(1-a^2))
+    t = (x - fmin) / scale if scale else math.inf  # in [0, 1/(1-a^2)); scale is 0 at subnormal a
     t_max = 1.0 / ((1.0 - a) * (1.0 + a))
     if branch is BranchId.PRINCIPAL:
         if x == 0.0:
@@ -138,11 +137,11 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
             seed = _asym0_seed(a, x)
         else:
             seed = 0.5 * math.log1p(2.0 * x)  # elementary a=1 lower bound
-        # g raises OverflowError once (1-a)*w or 2a*w passes log(DBL_MAX)
+        # f raises OverflowError once (1-a)*w or 2a*w passes log(DBL_MAX)
         w_cap = _LOG_DBL_MAX / max(1.0 - a, 2.0 * a)
         hi = min(max(seed, 0.0) + 1.0, w_cap)
         step = 1.0
-        while g(hi)[0] < 0.0:
+        while _f(a, hi) < x:
             if hi == w_cap:
                 raise RangeError(f"psi({x!r}) lies beyond w = {w_cap!r}, where f overflows")
             hi = min(hi + step, w_cap)
@@ -155,7 +154,7 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
         seed = _asym1_seed(a, x)
     lo = min(seed, wmin) - 1.0
     step = 1.0
-    while g(lo)[0] < 0.0:
+    while _f(a, lo) < x:
         lo -= step
         step *= 2.0
     return newton_bracketed(g, lo, wmin, seed, increasing=False)
@@ -171,11 +170,11 @@ def psi(a, branch: BranchId, x: float) -> float:
     series near f_min, the large/small-x expansions, or the Taylor series
     at zero, whichever region applies.
     """
-    p = as_param(a)
-    bc, x = _check_branch_domain(p, branch, x)
-    if p.kind is ParamKind.ONE_LIMIT:
-        return 0.5 * math.log1p(2.0 * x)
-    return _solve_branch(p.a, bc, branch, x)
+    aa = _a_value(a)
+    bc, x = _check_branch_domain(aa, branch, x)
+    if aa == 1.0:
+        return 0.5 * (math.log1p(2.0 * x) if 2.0 * x < math.inf else math.log(x) + _LN2)
+    return _solve_branch(aa, bc, branch, x)
 
 
 def _cbrt(t: float) -> float:
@@ -304,7 +303,7 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
         raise UnsupportedError(
             "closed forms exist only for a in {1/3, 1/2, 1/5, 3/5, 1/7} "
             "constructed as exact rationals")
-    bc, x = _check_branch_domain(p, branch, x)
+    bc, x = _check_branch_domain(p.a, branch, x)
     # same treatment of the branch-point neighborhood as the generic solver,
     # so the two routes agree where the square-root sensitivity blows up
     if x - bc.f_min <= _domain_tol(bc.f_min):
@@ -326,29 +325,28 @@ def omega(a, z: float) -> float:
     z < w_min and the lower branch otherwise.  At a = 0 this degenerates to
     swapping the two real Lambert W branches of z*exp(z).
     """
-    p = as_param(a)
+    aa = _a_value(a)
     z = _check_z(z)
-    if p.kind is ParamKind.ONE_LIMIT:
+    if aa == 1.0:
         raise DomainError("transition function undefined at a=1: single branch only")
-    if p.kind is ParamKind.ZERO_LIMIT:
+    if aa == 0.0:
         if z == -1.0:
             return -1.0
         return lambert_w(BranchId.PRINCIPAL if z < -1.0 else BranchId.LOWER, z * math.exp(z))
-    bc = _constants_for(p.a)
-    wmin = bc.w_min
-    if z == wmin:
-        return wmin
-    x = forward(p, z)
-    if z < wmin:
+    bc = _constants_for(aa)
+    if z == bc.w_min:
+        return z
+    x = _f(aa, z)  # forward(aa, z): z < 0 is finite, so no check or overflow
+    if z < bc.w_min:
         if abs(x) < sys.float_info.min:
             # x is subnormal, so a|y| << 1 and f(y)/a = y*exp(y) to double
             # precision: y = W0(x/a), x/a in log form, free of x's underflow
-            u = -math.exp((1.0 - p.a) * z + math.log(-math.expm1(2.0 * p.a * z) / (2.0 * p.a)))
+            u = -math.exp((1.0 - aa) * z + math.log(-math.expm1(2.0 * aa * z) / (2.0 * aa)))
             return lambert_w(BranchId.PRINCIPAL, u) if u < 0.0 else -0.0
-        return _solve_branch(p.a, bc, BranchId.PRINCIPAL, x)
+        return _solve_branch(aa, bc, BranchId.PRINCIPAL, x)
     if abs(x) < sys.float_info.min:
-        return _omega_lower_log(p.a, z)
-    return _solve_branch(p.a, bc, BranchId.LOWER, x)
+        return _omega_lower_log(aa, z)
+    return _solve_branch(aa, bc, BranchId.LOWER, x)
 
 
 def _log1m_exp(u: float) -> float:
@@ -381,12 +379,12 @@ def _omega_13(z: float) -> float:
 
 def _omega_12(z: float) -> float:
     branch = BranchId.PRINCIPAL if z < -math.log(3.0) else BranchId.LOWER
-    return _psi_12(branch, forward(AsymmetryParam(0.5), z))
+    return _psi_12(branch, _f(0.5, z))
 
 
 def _omega_15(z: float) -> float:
     branch = BranchId.PRINCIPAL if z < -2.5 * math.log(1.5) else BranchId.LOWER
-    return _psi_15(branch, forward(AsymmetryParam(0.2), z))
+    return _psi_15(branch, _f(0.2, z))
 
 
 OMEGA_CLOSED_FORMS = {ClosedFormTag.A13: _omega_13, ClosedFormTag.A12: _omega_12,
@@ -423,13 +421,13 @@ def omega_finite_n(n: int, a, z: float) -> float:
     v -> z and y -> omega(a, z).  A root within half an ulp of -n/2 is
     returned as -n/2, where p = 1 + 2y/n is 0.
     """
-    p = as_param(a)
+    aa = _a_value(a)
     _check_int("n", n, 2)
     z = _check_z(z)
     s = 2.0 * z / n
     if 1.0 + s <= 0.0:
         raise DomainError(f"q = 1 + 2z/n = {1.0 + s!r} must be positive")
-    k = round(n * (1.0 - p.a) / 2.0)
+    k = round(n * (1.0 - aa) / 2.0)
     if not 1 <= k <= n // 2:
         raise DomainError(f"k = round(n(1-a)/2) = {k} outside [1, n//2]")
     a_n = (n + 1 - 2 * k) / (n + 1)

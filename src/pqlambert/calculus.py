@@ -15,14 +15,14 @@ from .core import (
     AsymmetryParam,
     BranchId,
     DomainError,
-    ParamKind,
     RangeError,
     SingularityError,
+    _a_value,
     _check_branch_domain,
     _check_int,
     _check_rel_tol,
     _domain_tol,
-    _interior_param,
+    _interior_a,
     _is_principal,
     as_param,
     branch_constants,
@@ -98,9 +98,9 @@ def _pn_cached(a_value: float, nmax: int) -> tuple:
 
 def pn_sequence(a, nmax: int) -> tuple:
     """P_1 .. P_nmax for a fixed asymmetry (cached)."""
-    p = _interior_param(a)
+    aa = _interior_a(a)
     _check_int("nmax", nmax, 1, DERIVATIVE_ORDER_MAX)
-    return _pn_cached(p.a, nmax)
+    return _pn_cached(aa, nmax)
 
 
 def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
@@ -116,15 +116,15 @@ def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
     (a*cosh(a*psi) + sinh(a*psi))^(2n-1), with P_n from pn_sequence, gives
     the same values but cancels on the lower branch and near a = 1.
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     _check_int("n", n, 1, DERIVATIVE_ORDER_MAX)
-    bc, x = _check_branch_domain(p, branch, x)
+    bc, x = _check_branch_domain(aa, branch, x)
     if x - bc.f_min <= _domain_tol(bc.f_min):
         raise SingularityError(
             f"derivative is singular at the branch point x = {bc.f_min!r}")
-    w = branches._solve_branch(p.a, bc, branch, x)
+    w = branches._solve_branch(aa, bc, branch, x)
     try:
-        inv_c1, r = _local_coeffs(p.a, w, n)
+        inv_c1, r = _local_coeffs(aa, w, n)
     except OverflowError as exc:
         raise RangeError(f"derivative magnitude overflows at x = {x!r}") from exc
     value = math.factorial(n) * _revert(r)[-1]
@@ -142,15 +142,14 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     with the limits a/(1-a^2) at x=0 (principal) and
     f_min*(w_min - 2/(1-a^2)) at the branch point where coth = -1/a.
     """
-    p = _interior_param(a)
-    bc, x = _check_branch_domain(p, branch, x)
-    aa = p.a
+    aa = _interior_a(a)
+    bc, x = _check_branch_domain(aa, branch, x)
     one_m = 1.0 - aa * aa
     if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.f_min * (bc.w_min - 2.0 / one_m)
     if x == 0.0:
         return aa / one_m
-    psiv = branches.psi(p, branch, x)
+    psiv = branches.psi(aa, branch, x)
     return x * psiv - x / one_m + aa * (x / math.tanh(aa * psiv)) / one_m
 
 
@@ -160,9 +159,8 @@ def integral_psi(a, branch: BranchId) -> float:
     Principal: (a + 2*f_min)/(1-a^2) - f_min*w_min;
     lower:     2*f_min/(1-a^2) - f_min*w_min.
     """
-    p = _interior_param(a)
-    aa = p.a
-    bc = branch_constants(p)
+    aa = _interior_a(a)
+    bc = branch_constants(aa)
     if _is_principal(branch):
         return (aa + 2.0 * bc.f_min) / (1.0 - aa * aa) - bc.f_min * bc.w_min
     return 2.0 * bc.f_min / (1.0 - aa * aa) - bc.f_min * bc.w_min
@@ -216,13 +214,12 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     substitution x = f_min + t^2; the lower branch additionally maps its
     logarithmic endpoint at 0 through x = -exp(-s).
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     _check_rel_tol(rel_tol)
-    bc = branch_constants(p)
-    fmin = bc.f_min
+    fmin = branch_constants(aa).f_min
 
     def by_t(t):
-        return 2.0 * t * branches.psi(p, branch, fmin + t * t)
+        return 2.0 * t * branches.psi(aa, branch, fmin + t * t)
 
     if _is_principal(branch):
         val, _ = _tanh_sinh(by_t, 0.0, math.sqrt(-fmin), rel_tol / 4.0)
@@ -234,7 +231,7 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
 
     def by_s(s):
         xv = -math.exp(-s)
-        return branches.psi(p, branch, xv) * math.exp(-s)
+        return branches.psi(aa, branch, xv) * math.exp(-s)
 
     v2, _ = _tanh_sinh(by_s, s0, s_max, rel_tol / 8.0)
     return v1 + v2
@@ -245,10 +242,9 @@ def integral_omega(a) -> float:
 
     pi^2 / (3*(a^2 - 1)); diverges at a = 1.
     """
-    p = as_param(a)
-    if p.kind is ParamKind.ONE_LIMIT:
+    aa = _a_value(a)
+    if aa == 1.0:
         raise DomainError("the integral diverges at a = 1")
-    aa = p.a
     return math.pi ** 2 / (3.0 * (aa * aa - 1.0))
 
 
@@ -263,27 +259,26 @@ def integral_omega_quadrature(a, rel_tol: float) -> float:
     with negligible remainder.  Raises AccuracyError when the combined
     error estimate exceeds rel_tol times the result.
     """
-    p = as_param(a)
-    if p.kind is ParamKind.ONE_LIMIT:
+    aa = _a_value(a)
+    if aa == 1.0:
         raise DomainError("the integral diverges at a = 1")
     _check_rel_tol(rel_tol)
-    aa = p.a
 
     # cut where the integrand itself is below rel_tol/10 (exponential tail)
     z_cut = 30.0
-    while abs(branches.omega(p, -z_cut)) > rel_tol / 10.0 and z_cut < 4000.0:
+    while abs(branches.omega(aa, -z_cut)) > rel_tol / 10.0 and z_cut < 4000.0:
         z_cut *= 1.5
-    omega_cut = branches.omega(p, -z_cut)
+    omega_cut = branches.omega(aa, -z_cut)
     if aa > 0.0:
         tail_left = omega_cut / (1.0 - aa)
     else:
         tail_left = omega_cut * (z_cut + 1.0) / z_cut
     tail_left_err = 0.5 * abs(tail_left)
 
-    v1, e1 = _tanh_sinh(lambda z: branches.omega(p, z), -z_cut, -1.0, rel_tol / 4.0)
+    v1, e1 = _tanh_sinh(lambda z: branches.omega(aa, z), -z_cut, -1.0, rel_tol / 4.0)
 
     def by_s(s):
-        return branches.omega(p, -math.exp(-s)) * math.exp(-s)
+        return branches.omega(aa, -math.exp(-s)) * math.exp(-s)
 
     v2, e2 = _tanh_sinh(by_s, 0.0, 60.0, rel_tol / 4.0)
     tail_right_err = 65.0 * math.exp(-60.0)

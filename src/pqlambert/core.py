@@ -92,6 +92,14 @@ def _real(name: str, value) -> float:
         raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
+def _finite(name: str, value) -> float:
+    """float(value), raising DomainError unless it is a finite real number."""
+    value = _real(name, value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 class AsymmetryParam:
     """Asymmetry parameter of the forward map, validated to lie in [0, 1].
 
@@ -105,14 +113,9 @@ class AsymmetryParam:
     __slots__ = ("a", "exact", "kind")
 
     def __init__(self, a: float, exact=None):
-        if a.__class__ is not float:
-            if isinstance(a, bool) or not isinstance(a, (int, float)):
-                raise DomainError(f"asymmetry parameter must be a real number, got {a!r}")
-            a = _real("asymmetry parameter", a)
-        if not 0.0 <= a <= 1.0:
-            if not math.isfinite(a):
-                raise DomainError(f"asymmetry parameter must be finite, got {a!r}")
-            raise DomainError(f"asymmetry parameter must lie in [0, 1], got {a!r}")
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
+            raise DomainError(f"asymmetry parameter must be a real number, got {a!r}")
+        a = _a_value(_real("asymmetry parameter", a))
         if exact is not None and float(exact) != a:
             raise DomainError("exact rational does not match the float value")
         setter = object.__setattr__
@@ -151,12 +154,21 @@ class AsymmetryParam:
         return cls(float(frac), frac)
 
 
+def _a_value(a) -> float:
+    """Validated float value of the asymmetry a: the one range rule returns a float in
+    [0, 1] as given, with no AsymmetryParam built; other input goes through as_param."""
+    if a.__class__ is not float:
+        return as_param(a).a
+    if not 0.0 <= a <= 1.0:
+        _finite("asymmetry parameter", a)
+        raise DomainError(f"asymmetry parameter must lie in [0, 1], got {a!r}")
+    return a
+
+
 def as_param(a) -> AsymmetryParam:
     """Coerce a float, Fraction, or AsymmetryParam into an AsymmetryParam."""
     if isinstance(a, AsymmetryParam):
         return a
-    if isinstance(a, float):
-        return AsymmetryParam(a)
     # whoever holds a Fraction has loaded its module; others need not load it
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(a, fractions.Fraction):
@@ -164,12 +176,12 @@ def as_param(a) -> AsymmetryParam:
     return AsymmetryParam(_real("asymmetry parameter", a))
 
 
-def _interior_param(a) -> AsymmetryParam:
-    """as_param(a), raising DomainError unless 0 < a < 1."""
-    p = as_param(a)
-    if p.kind is not ParamKind.INTERIOR:
-        raise DomainError(f"requires 0 < a < 1, got a = {p.a!r}")
-    return p
+def _interior_a(a) -> float:
+    """_a_value(a), raising DomainError unless 0 < a < 1."""
+    aa = _a_value(a)
+    if aa == 0.0 or aa == 1.0:
+        raise DomainError(f"requires 0 < a < 1, got a = {aa!r}")
+    return aa
 
 
 def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
@@ -230,16 +242,18 @@ def forward(a, w: float) -> float:
     which stays finite up to (1+a)*w of about 710.47 (further for tiny a).
     Raises RangeError where the value itself exceeds the double range.
     """
-    p = as_param(a)
-    w = _real("w", w)
-    if not math.isfinite(w):
-        raise DomainError(f"w must be finite, got {w!r}")
-    aa = p.a
+    aa = _a_value(a)
+    w = _finite("w", w)
     if aa == 0.0:
         return 0.0
     if (1.0 + aa) * w > _EXP_MAX:
         return _exp_top(aa, w, -math.expm1(-2.0 * aa * w))
-    return 0.5 * math.exp((1.0 - aa) * w) * math.expm1(2.0 * aa * w)
+    return _f(aa, w)
+
+
+def _f(a: float, w: float) -> float:
+    """The forward map's kernel exp((1-a)*w)*expm1(2*a*w)/2, unchecked."""
+    return 0.5 * math.exp((1.0 - a) * w) * math.expm1(2.0 * a * w)
 
 
 def forward_dw(a, w: float) -> float:
@@ -248,11 +262,8 @@ def forward_dw(a, w: float) -> float:
     Uses d/dw f = ((1+a)*expm1(2aw) + 2a) * exp((1-a)w) / 2, exact at the
     minimizer where the two exponential terms cancel.
     """
-    p = as_param(a)
-    w = _real("w", w)
-    if not math.isfinite(w):
-        raise DomainError(f"w must be finite, got {w!r}")
-    aa = p.a
+    aa = _a_value(a)
+    w = _finite("w", w)
     if aa == 0.0:
         return 0.0
     if (1.0 + aa) * w > _EXP_MAX:
@@ -293,32 +304,30 @@ def branch_constants(a) -> BranchConstants:
     the scaled problem is returned (the Lambert W branch point -1/e at -1).
     At a = 1 the forward map is strictly increasing and has no minimum.
     """
-    p = as_param(a)
-    if p.kind is ParamKind.ONE_LIMIT:
+    aa = _a_value(a)
+    if aa == 1.0:
         raise DomainError("branch constants undefined at a=1: the map has no minimum")
-    return _constants_for(p.a)
+    return _constants_for(aa)
 
 
-def _check_branch_domain(p: AsymmetryParam, branch: BranchId,
+def _check_branch_domain(aa: float, branch: BranchId,
                          x) -> tuple[BranchConstants | None, float]:
     """Raise UnsupportedError for an unknown branch and DomainError unless
-    x lies on the branch; return the branch constants of a (the call's one
-    lookup, None at a = 1) and float(x)."""
+    x lies on the branch of the validated asymmetry aa; return the branch
+    constants of aa (the call's one lookup, None at a = 1) and float(x)."""
     lower = not _is_principal(branch)
-    x = _real("x", x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if p.kind is ParamKind.ZERO_LIMIT:
+    x = _finite("x", x)
+    if aa == 0.0:
         raise DomainError(
             "inverse branches are undefined at a=0 (the forward map vanishes); "
             "rescale through lambert_w instead")
-    if p.kind is ParamKind.ONE_LIMIT:
+    if aa == 1.0:
         if lower:
             raise DomainError("the lower branch does not exist at a=1")
         if x <= -0.5:
             raise DomainError(f"principal branch at a=1 requires x > -1/2, got {x!r}")
         return None, x
-    bc = _constants_for(p.a)
+    bc = _constants_for(aa)
     if x < bc.f_min - _domain_tol(bc.f_min):
         raise DomainError(f"x = {x!r} below the branch-point value L_a = {bc.f_min!r}")
     if lower and x >= 0.0:
@@ -334,9 +343,8 @@ def special_point(a, n: int) -> tuple[float, float]:
     x_n = ((1-a)/(1+a))^(n(1-a)/(2a)) * (((1-a)/(1+a))^n - 1) / 2,
     so that the lower branch satisfies psi(x_n) = n*w_min.
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     _check_int("n", n, 1)
-    aa = p.a
     log_ratio = math.log1p(-aa) - math.log1p(aa)
     prefactor = math.exp(n * (1.0 - aa) / (2.0 * aa) * log_ratio)
     x = 0.5 * prefactor * math.expm1(n * log_ratio)
@@ -385,9 +393,7 @@ def lambert_w(branch: BranchId, x: float) -> float:
     square-root expansion near the branch point -1/e, a rational guess for
     moderate x, and log(x) - log(log(x)) style asymptotics otherwise.
     """
-    x = _real("x", x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+    x = _finite("x", x)
     # d = e*x + 1 measures the distance to the branch point in natural units
     d = math.e * x + 1.0
     if d < 0.0:

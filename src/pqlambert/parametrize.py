@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from . import _LAZY
-from .core import DomainError, ParamKind, _interior_param, _real, as_param
+from .core import DomainError, _a_value, _interior_a, _real
 
 __all__ = list(_LAZY["parametrize"])
 
@@ -33,13 +33,12 @@ def param_beta(a, beta: float) -> tuple[float, float]:
     Returns (x, psi0) with x = (beta^(1+a) - beta^(1-a))/2 and
     psi0 = log(beta); any beta > 1 gives x > 0.
     """
-    p = as_param(a)
-    if p.kind is ParamKind.ZERO_LIMIT:
+    aa = _a_value(a)
+    if aa == 0.0:
         raise DomainError("parametrization undefined at a=0")
     beta = _real("beta", beta)
     if not 1.0 < beta < math.inf:
         raise DomainError(f"requires finite beta > 1, got {beta!r}")
-    aa = p.a
     lb = math.log(beta)
     x = 0.5 * math.exp((1.0 - aa) * lb) * math.expm1(2.0 * aa * lb)
     return x, lb
@@ -57,17 +56,16 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
 
     With rho = (alpha^(2a)-1)/(alpha^(1+a)-1) in (0, 1):
     psi1 = log((alpha^(1-a)-1)/(alpha^(1+a)-1))/(2a),
-    psi0 = log(1-rho)/(2a)  (identical to log(alpha) + psi1), and
+    psi0 = log(1-rho)/(2a)  (= log(alpha) + psi1, the form taken where rho rounds to 1),
     x = -rho*(1-rho)^((1-a)/(2a))/2.  All alpha^c - 1 factors go through
     expm1/log1p kernels, so neither the alpha -> 1 branch-point limit nor
     the alpha -> inf tail loses precision beyond the representation of
     alpha itself.  alpha sweeps (1, inf) onto x in [f_min, 0).
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     alpha = _real("alpha", alpha)
     if not 1.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 1, got {alpha!r}")
-    aa = p.a
     la = math.log(alpha)
     le_low = _log_expm1((1.0 - aa) * la)
     le_mid = _log_expm1(2.0 * aa * la)
@@ -75,7 +73,7 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
     psi1 = (le_low - le_high) / (2.0 * aa)
     log_rho = le_mid - le_high
     rho = math.exp(log_rho)
-    log1m_rho = math.log1p(-rho)
+    log1m_rho = math.log1p(-rho) if rho < 1.0 else 2.0 * aa * la + le_low - le_high
     psi0 = log1m_rho / (2.0 * aa)
     x = -0.5 * math.exp(log_rho + (1.0 - aa) / (2.0 * aa) * log1m_rho)
     return AlphaPoint(alpha=alpha, x=x, psi0=psi0, psi1=psi1)

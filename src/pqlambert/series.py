@@ -17,10 +17,12 @@ from .core import (
     DomainError,
     RangeError,
     UnsupportedError,
+    _LN2,
     _check_branch_domain,
     _check_int,
-    _interior_param,
+    _interior_a,
     _real,
+    as_param,
     branch_constants,
 )
 
@@ -79,8 +81,8 @@ class SeriesExpansion(namedtuple("SeriesExpansion", "kind a coeffs order arg_tra
             bc = branch_constants(self.a)
             return bc.w_min + _horner(self.coeffs, x - bc.w_min)
         if self.kind is SeriesKind.ASYMPTOTIC_PSI0:
-            y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
-            return math.log(2.0 * x) / (1.0 + aa) + _horner(self.coeffs, y)
+            log_2x, y = _log_pow_2x(x, -2.0 * aa / (1.0 + aa))
+            return log_2x / (1.0 + aa) + _horner(self.coeffs, y)
         y = (-2.0 * x) ** (2.0 * aa / (1.0 - aa))
         return math.log(-2.0 * x) / (1.0 - aa) + _horner(self.coeffs, y)
 
@@ -116,6 +118,13 @@ def bell(n: int, k: int, args) -> float:
                     s += math.comb(nn - 1, j - 1) * args[j - 1] * prev
             table[(nn, kk)] = s
     return table[(n, k)]
+
+
+def _log_pow_2x(x: float, c: float) -> tuple[float, float]:
+    """log(2x) and (2x)**c for x > 0, finite where 2x passes the largest double."""
+    if 2.0 * x < math.inf:
+        return math.log(2.0 * x), (2.0 * x) ** c
+    return math.log(x) + _LN2, 2.0 ** c * x ** c
 
 
 def _horner(coeffs, t: float) -> float:
@@ -185,18 +194,18 @@ def taylor_at_zero(a, order: int) -> SeriesExpansion:
     ((1+a)^k - (1-a)^k)/(2 k!); the n-th returned entry is the coefficient
     of x^n.  The radius of convergence is bounded by |f_min|.
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     _check_int("order", order, 1, TAYLOR_ORDER_MAX)
-    inv_c1, r = _local_coeffs(p.a, 0.0, order)
+    inv_c1, r = _local_coeffs(aa, 0.0, order)
     coeffs = []
     scale = 1.0
     for d in _revert(r):
         scale *= inv_c1
         coeffs.append(d * scale)
     return SeriesExpansion(
-        kind=SeriesKind.TAYLOR_AT_ZERO, a=p, coeffs=tuple(coeffs), order=order,
+        kind=SeriesKind.TAYLOR_AT_ZERO, a=as_param(a), coeffs=tuple(coeffs), order=order,
         arg_transform="x", value_offset="0",
-        valid_radius=abs(branch_constants(p).f_min))
+        valid_radius=abs(branch_constants(aa).f_min))
 
 
 def derivative_series_check(a) -> list:
@@ -205,8 +214,7 @@ def derivative_series_check(a) -> list:
     Cross-validation anchor shared with the derivative recurrence:
     0, 1/a, -2/a^2, (9a^2 - a^4)/a^5.
     """
-    p = _interior_param(a)
-    aa = p.a
+    aa = _interior_a(a)
     return [0.0, 1.0 / aa, -2.0 / aa ** 2, (9.0 * aa ** 2 - aa ** 4) / aa ** 5]
 
 
@@ -246,25 +254,25 @@ def branch_point_series(a, which: str, order: int) -> SeriesExpansion:
     factor cancels).  psi1 reverts the negated inputs of psi0, so the
     odd-coefficient sign flip between them holds bit for bit.
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     _check_int("order", order, 1, BRANCH_POINT_ORDER_MAX)
     if which not in ("psi0", "psi1", "omega"):
         raise UnsupportedError(f"which must be 'psi0', 'psi1' or 'omega', got {which!r}")
-    v = _sqrt_series(_forward_scaled_coeffs(p.a, order + 1)[2:], order - 1)
+    v = _sqrt_series(_forward_scaled_coeffs(aa, order + 1)[2:], order - 1)
     if which == "omega":
         return SeriesExpansion(
-            kind=SeriesKind.BRANCH_POINT_OMEGA, a=p,
+            kind=SeriesKind.BRANCH_POINT_OMEGA, a=as_param(a),
             coeffs=tuple(_revert(v, [-c for c in v])), order=order,
             arg_transform="u = z - w_min", value_offset="w_min",
-            valid_radius=abs(branch_constants(p).w_min))
+            valid_radius=abs(branch_constants(aa).w_min))
     kind = SeriesKind.BRANCH_POINT_PSI0
     if which == "psi1":
         kind = SeriesKind.BRANCH_POINT_PSI1
         v = [-c for c in v]
     return SeriesExpansion(
-        kind=kind, a=p, coeffs=tuple(_revert(v)), order=order,
+        kind=kind, a=as_param(a), coeffs=tuple(_revert(v)), order=order,
         arg_transform="t = (x - f_min)/scale, series in sqrt(t)",
-        value_offset="w_min", valid_radius=1.0 / ((1.0 - p.a) * (1.0 + p.a)))
+        value_offset="w_min", valid_radius=1.0 / ((1.0 - aa) * (1.0 + aa)))
 
 
 def asymptotic_tail_coeffs(a, which: str, terms: int) -> tuple:
@@ -275,11 +283,10 @@ def asymptotic_tail_coeffs(a, which: str, terms: int) -> tuple:
     of the two-exponential kernel exp(p*t) - exp(q*t), whose t^k
     coefficient is (p^k - q^k)/k!, with (p, q) = (2a, a-1) and (-2a, -a-1).
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     if which not in TAIL_TERMS_MAX:
         raise UnsupportedError(f"which must be 'psi0' or 'psi1', got {which!r}")
     _check_int("terms", terms, 0, TAIL_TERMS_MAX[which])
-    aa = p.a
     ep, eq = (2.0 * aa, aa - 1.0) if which == "psi0" else (-2.0 * aa, -aa - 1.0)
     return tuple(_revert([(ep ** k - eq ** k) / math.factorial(k)
                           for k in range(1, terms + 1)]))
@@ -293,13 +300,12 @@ def asymptotic_psi0(a, x: float, terms: int = 3) -> float:
     the first three are 1/(1+a), (1-3a)/(2(1+a)^2), (10a^2-7a+1)/(3(1+a)^3).
     Intended for x >= 10; accuracy simply degrades below that.
     """
-    p = _interior_param(a)
+    aa = _interior_a(a)
     x = _real("x", x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"requires finite x > 0, got {x!r}")
-    aa = p.a
-    y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
-    return math.log(2.0 * x) / (1.0 + aa) + _horner(asymptotic_tail_coeffs(p, "psi0", terms), y)
+    log_2x, y = _log_pow_2x(x, -2.0 * aa / (1.0 + aa))
+    return log_2x / (1.0 + aa) + _horner(asymptotic_tail_coeffs(aa, "psi0", terms), y)
 
 
 def asymptotic_psi1(a, x: float, terms: int = 3) -> float:
@@ -310,11 +316,10 @@ def asymptotic_psi1(a, x: float, terms: int = 3) -> float:
     coefficients are 1/(1-a), (1+3a)/(2(1-a)^2), (10a^2+7a+1)/(3(1-a)^3).
     Intended for |x| <= 0.01*|f_min|.
     """
-    p = _interior_param(a)
-    _, x = _check_branch_domain(p, BranchId.LOWER, x)
-    aa = p.a
+    aa = _interior_a(a)
+    _, x = _check_branch_domain(aa, BranchId.LOWER, x)
     z = (-2.0 * x) ** (2.0 * aa / (1.0 - aa))
-    return math.log(-2.0 * x) / (1.0 - aa) + _horner(asymptotic_tail_coeffs(p, "psi1", terms), z)
+    return math.log(-2.0 * x) / (1.0 - aa) + _horner(asymptotic_tail_coeffs(aa, "psi1", terms), z)
 
 
 def _envelope_threshold(aa: float) -> float:
@@ -335,8 +340,8 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
     Both bounds are log(2x)/(1+a) plus a multiple of (2x)^(-2a/(1+a)):
     coefficients (1, 2)/(1+a) for a < 1/3 and (1/3, 1)/(1+a) for a > 1/3.
     """
-    p = _interior_param(a)
-    aa = p.a
+    p = as_param(a)
+    aa = _interior_a(p)
     gap = abs(1.0 / 3.0 - aa)
     if gap == 0.0 or (p.exact is not None and p.exact * 3 == 1):
         raise UnsupportedError("the envelope excludes a = 1/3")
@@ -344,8 +349,8 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
     threshold = _envelope_threshold(aa)
     if not threshold <= x < math.inf:
         raise DomainError(f"x = {x!r} outside [{threshold!r}, inf), the envelope's range")
-    y = (2.0 * x) ** (-2.0 * aa / (1.0 + aa))
-    base = math.log(2.0 * x) / (1.0 + aa)
+    log_2x, y = _log_pow_2x(x, -2.0 * aa / (1.0 + aa))
+    base = log_2x / (1.0 + aa)
     if aa < 1.0 / 3.0:
         return base + y / (1.0 + aa), base + 2.0 * y / (1.0 + aa)
     return base + y / (3.0 * (1.0 + aa)), base + y / (1.0 + aa)
@@ -361,8 +366,7 @@ def envelope_crossover_estimates(a) -> dict:
     upper bound needs roughly exp(-3.8 + 0.117/a) for a below ~0.102 and
     holds for all positive x above that.
     """
-    p = _interior_param(a)
-    aa = p.a
+    aa = _interior_a(a)
     gap = abs(1.0 / 3.0 - aa)
     out = {"theorem_threshold": math.inf if gap == 0.0 else _envelope_threshold(aa)}
     if gap != 0.0 and out["theorem_threshold"] == math.inf:
@@ -384,8 +388,7 @@ def psi1_bounds(a, x: float) -> tuple[float, float, float]:
     entry is the unconditional lower bound
     log(-2x)/(1-a) - log(1 - (-2x)^(2a/(1-a))).
     """
-    p = _interior_param(a)
-    aa = p.a
+    aa = _interior_a(a)
     x = _real("x", x)
     lo_end = -0.5 * ((1.0 - aa) / (6.0 * aa + 2.0)) ** ((1.0 - aa) / (2.0 * aa))
     if not lo_end <= x < 0.0:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import geometric_grid, linear_grid, mp_branch_root, mp_finite_n_root
 from pqlambert import core
-from pqlambert.calculus import psi_derivative
+from pqlambert.calculus import psi_derivative, psi_primitive
 from pqlambert.core import (
     AsymmetryParam,
     BranchId,
@@ -68,6 +68,11 @@ class TestPsi:
 
     def test_one_limit_closed_form(self):
         assert psi(1.0, P, 0.3) == pytest.approx(0.5 * math.log(1.6), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [1.7e308, sys.float_info.max])
+    def test_one_limit_above_half_the_largest_double(self, x):
+        # 2x overflows: log1p(2x)/2 is taken as (log(x) + log(2))/2
+        assert psi(1.0, P, x) == pytest.approx(0.5 * (math.log(x) + math.log(2.0)), rel=1e-15)
 
     @given(st.floats(0.02, 0.98), st.floats(0.0, 1.0), st.booleans())
     @settings(max_examples=500, deadline=None)
@@ -141,6 +146,19 @@ class TestTinyAAndTopOfRange:
         ref = mp_branch_root(1e-300, 1.0, value)
         assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
         assert value == pytest.approx(684.24720862976085, rel=4e-16)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-323])
+    def test_subnormal_a(self, a, mp50):
+        # at a = 5e-324 the branch-point scale f_min*(a^2-1) is 0, and the
+        # branch-point coordinate (x - f_min)/scale divided by it
+        value = psi(a, P, 1e-300)
+        ref = mp_branch_root(a, 1e-300, value)
+        # 2a*w is subnormal, so f carries a relative error up to 2^-1074/(2a*w)
+        assert abs(value - float(ref)) <= 1e-2
+        assert math.isfinite(psi_derivative(a, P, 1e-300, 1))
+        assert math.isfinite(psi_primitive(a, P, 1e-300))
+        with pytest.raises(RangeError):
+            psi(a, P, 0.5)  # past w_cap, as at a = 1e-320
 
     def test_root_beyond_the_overflow_point_is_a_range_error(self):
         # w*e^w = 1e320 needs w > 709.78, where exp((1-a)w) overflows

@@ -4,6 +4,7 @@ real Lambert W branches."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -179,6 +180,62 @@ def _bad_arguments():
 def test_bad_argument_raises_the_library_error(error, fn, args):
     with pytest.raises(error):
         fn(*args)
+
+
+def _a_entry_calls():
+    """The scalar entry points that validate a float a as a float."""
+    import pqlambert
+
+    return {
+        "psi": lambda a: pqlambert.psi(a, P, 0.3),
+        "omega": lambda a: pqlambert.omega(a, -2.0),
+        "omega_finite_n": lambda a: pqlambert.omega_finite_n(50, a, -2.0),
+        "forward": lambda a: forward(a, 1.5),
+        "forward_dw": lambda a: forward_dw(a, 1.5),
+        "param_alpha": lambda a: pqlambert.param_alpha(a, 2.0),
+        "psi_derivative": lambda a: pqlambert.psi_derivative(a, P, 0.3, 2),
+    }
+
+
+def _outcome(call, a):
+    """repr of the value (exact bits, sign of zero included), or the error's
+    class and message."""
+    try:
+        return repr(call(a))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestFloatEntry:
+    """A float a skips the AsymmetryParam record; every other type of a
+    still goes through as_param, and both routes give the same result."""
+
+    @pytest.mark.parametrize("name", sorted(_a_entry_calls()))
+    def test_same_bits_whatever_the_type(self, name):
+        call = _a_entry_calls()[name]
+        value = _outcome(call, 0.375)
+        assert isinstance(value, str), value
+        for a in (Fraction(3, 8), AsymmetryParam(0.375), AsymmetryParam.from_rational(3, 8),
+                  np.float64(0.375)):
+            assert _outcome(call, a) == value, a
+        for integer in (0, 1):  # the limits, as an int and as a float
+            assert _outcome(call, integer) == _outcome(call, float(integer))
+
+    @pytest.mark.parametrize("name", sorted(_a_entry_calls()))
+    @pytest.mark.parametrize("a", [True, "0.3", -0.0])
+    def test_accepted_oddities_agree_with_the_record(self, name, a):
+        # as_param converts these, so the float entry must treat them alike
+        call = _a_entry_calls()[name]
+        assert _outcome(call, a) == _outcome(call, as_param(a))
+
+    @pytest.mark.parametrize("name", sorted(_a_entry_calls()))
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1.0 + 2.0 ** -52, -1e-300])
+    def test_bad_float_raises_the_validator_error(self, name, a):
+        with pytest.raises(DomainError) as excinfo:
+            _a_entry_calls()[name](a)
+        with pytest.raises(DomainError) as expected:
+            as_param(a)
+        assert str(excinfo.value) == str(expected.value)
 
 
 class TestBranchConstants:

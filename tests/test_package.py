@@ -200,3 +200,47 @@ def test_distribution_repr_leaves_out_the_coefficients():
         hash(dist)
     with pytest.raises(AttributeError):
         dist.peaks = ()
+
+
+def _scalar_calls():
+    P, LO = pqlambert.BranchId.PRINCIPAL, pqlambert.BranchId.LOWER
+    pqlambert.psi(0.37, P, 0.5)
+    pqlambert.psi(0.37, LO, -0.05)
+    pqlambert.omega(0.37, -3.0)
+    pqlambert.omega_finite_n(64, 0.37, -3.0)
+    pqlambert.forward(0.37, 1.5)
+    pqlambert.forward_dw(0.37, 1.5)
+    pqlambert.param_alpha(0.37, 2.0)
+    pqlambert.psi_derivative(0.37, LO, -0.05, 3)
+
+
+def test_float_a_builds_no_parameter_record(monkeypatch):
+    # a scalar call validates a float a as a float; building an
+    # AsymmetryParam per call cost about a tenth of a psi call
+    built = []
+    init = pqlambert.AsymmetryParam.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pqlambert.AsymmetryParam, "__init__", counting_init)
+    _scalar_calls()
+    assert built == []
+
+
+def test_solves_go_through_the_module_level_solver(monkeypatch):
+    # bench/spans.py counts g evaluations by replacing newton_bracketed where
+    # branches holds it, and reads the constants cache's statistics
+    from pqlambert import branches, core
+
+    solver, funs = branches.newton_bracketed, []
+
+    def counting_solver(fun, *args, **kwargs):
+        funs.append(fun)
+        return solver(fun, *args, **kwargs)
+
+    monkeypatch.setattr(branches, "newton_bracketed", counting_solver)
+    _scalar_calls()
+    assert len(funs) == 5  # one solve each: psi twice, omega, omega_finite_n, psi_derivative
+    assert core._constants_for.cache_info().maxsize > 0

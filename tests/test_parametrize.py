@@ -51,6 +51,14 @@ class TestParamBeta:
 
 
 class TestParamAlpha:
+    @pytest.mark.parametrize("a, alpha", [(1.0 - 2.0 ** -52, 2.0), (1.0 - 2.0 ** -52, 1e300)])
+    def test_rho_rounded_to_one(self, a, alpha):
+        # rho = (alpha^(2a)-1)/(alpha^(1+a)-1) rounds to 1, where log1p(-rho) fails
+        pt = param_alpha(a, alpha)
+        assert all(math.isfinite(v) for v in pt)
+        assert pt.psi0 == pytest.approx(math.log(alpha) + pt.psi1, rel=1e-14)
+        assert branch_constants(a).f_min <= pt.x < 0.0
+
     def test_branch_point_limit(self):
         for a in (0.25, 0.6):
             bc = branch_constants(a)

@@ -390,6 +390,19 @@ class TestBounds:
         with pytest.raises(RangeError):
             envelope_crossover_estimates(a)
 
+    @pytest.mark.parametrize("x", [1.7e308, 1.7976931348623157e308])
+    def test_above_half_the_largest_double(self, x):
+        # 2x overflows: log(2x) is taken as log(x) + log(2)
+        value = psi(0.5, P, x)
+        lo, hi = psi0_bounds(0.5, x)
+        assert lo <= value <= hi
+        assert asymptotic_psi0(0.5, x) == pytest.approx(value, rel=1e-15)
+        se = series.SeriesExpansion(
+            SeriesKind.ASYMPTOTIC_PSI0, AsymmetryParam(0.5),
+            series.asymptotic_tail_coeffs(0.5, "psi0", 3), 3, "y = (2x)^(-2a/(1+a))",
+            "log(2x)/(1+a)", math.inf)
+        assert se.evaluate(x) == asymptotic_psi0(0.5, x)
+
     def test_largest_finite_threshold_keeps_its_value(self):
         # near the smallest a whose threshold is finite: it keeps its bits
         a = 8.904365e-4
