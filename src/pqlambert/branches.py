@@ -17,8 +17,11 @@ from .core import (
     DomainError,
     RangeError,
     UnsupportedError,
+    _BAND,
     _LN2,
     _LOG_DBL_MAX,
+    _LOWER,
+    _PRINCIPAL,
     _a_value,
     _check_branch_domain,
     _check_int,
@@ -56,13 +59,12 @@ class ClosedFormTag(enum.Enum):
 
     @classmethod
     def classify(cls, a) -> "ClosedFormTag":
-        p = as_param(a)
-        if p.exact is not None:
-            ratio = p.exact.as_integer_ratio()
-            for tag in cls:
-                if tag.value == ratio:
-                    return tag
-        return cls.NONE
+        exact = as_param(a).exact
+        return _NONE if exact is None else _TAG_OF.get(exact.as_integer_ratio(), _NONE)
+
+
+_TAG_OF = {tag.value: tag for tag in ClosedFormTag}  # (num, den) -> tag
+_NONE = ClosedFormTag.NONE
 
 
 class PsiQuery(namedtuple("PsiQuery", "a branch x")):
@@ -108,7 +110,7 @@ def _asym1_seed(a: float, x: float) -> float:
 def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> float:
     """Branch value at a validated x for 0 < a < 1, given the constants bc of a."""
     fmin, wmin, scale = bc
-    if x - fmin <= _domain_tol(fmin):
+    if x - fmin <= _BAND * abs(fmin):  # _domain_tol(fmin), without its frame
         return wmin
 
     def g(w):
@@ -118,7 +120,7 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
 
     t = (x - fmin) / scale if scale else math.inf  # in [0, 1/(1-a^2)); scale is 0 at subnormal a
     t_max = 1.0 / ((1.0 - a) * (1.0 + a))
-    if branch is BranchId.PRINCIPAL:
+    if branch is _PRINCIPAL:
         if x == 0.0:
             return x  # keeps the sign of an underflowed -0.0
         if x < 0.0:
@@ -183,14 +185,14 @@ def _cbrt(t: float) -> float:
 
 def _psi_13(branch: BranchId, x: float) -> float:
     root = math.sqrt(max(2.0 * x + 0.25, 0.0))
-    if branch is BranchId.PRINCIPAL:
+    if branch is _PRINCIPAL:
         return 1.5 * math.log(0.5 + root)
     # 1/2 - root rewritten to avoid cancellation as x -> 0^-
     return 1.5 * math.log(-2.0 * x / (0.5 + root))
 
 
 def _psi_12(branch: BranchId, x: float) -> float:
-    if branch is BranchId.PRINCIPAL:
+    if branch is _PRINCIPAL:
         if x >= _SQRT3 / 9.0:
             # log(2/sqrt(3)*cosh(theta/3)), theta = acosh(y), y = 3*sqrt(3)x, as
             # log(2/sqrt(3)) + log1p(2sinh^2(theta/6)), and theta as
@@ -219,7 +221,7 @@ def _acos_shifted(x: float) -> float:
 
 
 def _psi_15(branch: BranchId, x: float) -> float:
-    if branch is BranchId.PRINCIPAL:
+    if branch is _PRINCIPAL:
         if math.copysign(1.0, x) > 0.0:  # x >= +0.0; -0.0 keeps its sign below
             # 2/3*cosh(v/3) + 1/3 == 1 + 4/3*sinh^2(v/6), v = acosh(1+27x)
             # = 2*asinh(sqrt(13.5x)); sqrt(13.5)*sqrt(x) cannot overflow
@@ -250,7 +252,7 @@ def _psi_35(branch: BranchId, x: float) -> float:
     v = _aux_35(x)
     tv = 2.0 * v
     root = math.sqrt(max(2.0 - tv ** 1.5, 0.0))
-    if branch is BranchId.PRINCIPAL:
+    if branch is _PRINCIPAL:
         return 2.5 * math.log((tv ** 0.75 + root) / (2.0 * tv ** 0.25))
     return 2.5 * math.log((tv ** 0.75 - root) / (2.0 * tv ** 0.25))
 
@@ -274,7 +276,7 @@ def _psi_17(branch: BranchId, x: float) -> float:
     v = _aux_17(x)
     r1 = math.sqrt(max(2.0 * v + 0.25, 0.0))
     r2 = math.sqrt(max(-2.0 * v + 0.5 + 0.5 / math.sqrt(8.0 * v + 1.0), 0.0))
-    if branch is BranchId.PRINCIPAL:
+    if branch is _PRINCIPAL:
         return 3.5 * math.log((r1 + r2) / 2.0 + 0.25)
     return 3.5 * math.log((r1 - r2) / 2.0 + 0.25)
 
@@ -299,7 +301,7 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
     """
     p = as_param(a)
     tag = ClosedFormTag.classify(p)
-    if tag is ClosedFormTag.NONE:
+    if tag is _NONE:
         raise UnsupportedError(
             "closed forms exist only for a in {1/3, 1/2, 1/5, 3/5, 1/7} "
             "constructed as exact rationals")
@@ -332,7 +334,7 @@ def omega(a, z: float) -> float:
     if aa == 0.0:
         if z == -1.0:
             return -1.0
-        return lambert_w(BranchId.PRINCIPAL if z < -1.0 else BranchId.LOWER, z * math.exp(z))
+        return lambert_w(_PRINCIPAL if z < -1.0 else _LOWER, z * math.exp(z))
     bc = _constants_for(aa)
     if z == bc.w_min:
         return z
@@ -342,11 +344,11 @@ def omega(a, z: float) -> float:
             # x is subnormal, so a|y| << 1 and f(y)/a = y*exp(y) to double
             # precision: y = W0(x/a), x/a in log form, free of x's underflow
             u = -math.exp((1.0 - aa) * z + math.log(-math.expm1(2.0 * aa * z) / (2.0 * aa)))
-            return lambert_w(BranchId.PRINCIPAL, u) if u < 0.0 else -0.0
-        return _solve_branch(aa, bc, BranchId.PRINCIPAL, x)
+            return lambert_w(_PRINCIPAL, u) if u < 0.0 else -0.0
+        return _solve_branch(aa, bc, _PRINCIPAL, x)
     if abs(x) < sys.float_info.min:
         return _omega_lower_log(aa, z)
-    return _solve_branch(aa, bc, BranchId.LOWER, x)
+    return _solve_branch(aa, bc, _LOWER, x)
 
 
 def _log1m_exp(u: float) -> float:
@@ -378,12 +380,12 @@ def _omega_13(z: float) -> float:
 
 
 def _omega_12(z: float) -> float:
-    branch = BranchId.PRINCIPAL if z < -math.log(3.0) else BranchId.LOWER
+    branch = _PRINCIPAL if z < -math.log(3.0) else _LOWER
     return _psi_12(branch, _f(0.5, z))
 
 
 def _omega_15(z: float) -> float:
-    branch = BranchId.PRINCIPAL if z < -2.5 * math.log(1.5) else BranchId.LOWER
+    branch = _PRINCIPAL if z < -2.5 * math.log(1.5) else _LOWER
     return _psi_15(branch, _f(0.2, z))
 
 

@@ -84,6 +84,10 @@ class BranchId(enum.Enum):
     LOWER = "lower"
 
 
+# a module global reads in a tenth of the time of an Enum member (a descriptor on 3.11)
+_PRINCIPAL, _LOWER = BranchId.PRINCIPAL, BranchId.LOWER
+
+
 def _real(name: str, value) -> float:
     """float(value), raising DomainError where value is not a real number."""
     try:
@@ -94,7 +98,8 @@ def _real(name: str, value) -> float:
 
 def _finite(name: str, value) -> float:
     """float(value), raising DomainError unless it is a finite real number."""
-    value = _real(name, value)
+    if value.__class__ is not float:  # an exact float is taken as given: -0.0 keeps its sign
+        value = _real(name, value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -166,14 +171,14 @@ def _a_value(a) -> float:
 
 
 def as_param(a) -> AsymmetryParam:
-    """Coerce a float, Fraction, or AsymmetryParam into an AsymmetryParam."""
+    """Coerce a float, int, Fraction, or AsymmetryParam into an AsymmetryParam."""
     if isinstance(a, AsymmetryParam):
         return a
     # whoever holds a Fraction has loaded its module; others need not load it
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(a, fractions.Fraction):
         return AsymmetryParam(float(a), a)
-    return AsymmetryParam(_real("asymmetry parameter", a))
+    return AsymmetryParam(a)
 
 
 def _interior_a(a) -> float:
@@ -194,7 +199,8 @@ def _check_int(name: str, value, lo: int, hi: int | None = None) -> None:
 
 def _check_z(z) -> float:
     """float(z), raising DomainError unless it is finite and negative."""
-    z = _real("z", z)
+    if z.__class__ is not float:
+        z = _real("z", z)
     if not -math.inf < z < 0.0:
         raise DomainError(f"transition function requires finite z < 0, got {z!r}")
     return z
@@ -208,14 +214,17 @@ def _check_rel_tol(rel_tol: float) -> None:
 
 def _is_principal(branch) -> bool:
     """True for PRINCIPAL, False for LOWER; UnsupportedError otherwise."""
-    if branch is not BranchId.PRINCIPAL and branch is not BranchId.LOWER:
+    if branch is not _PRINCIPAL and branch is not _LOWER:
         raise UnsupportedError(f"unknown branch {branch!r}")
-    return branch is BranchId.PRINCIPAL
+    return branch is _PRINCIPAL
+
+
+_BAND = 8.0 * _EPS  # relative width of the band above f_min that counts as the branch point
 
 
 def _domain_tol(f_min: float) -> float:
     """Width of the band above f_min that counts as the branch point."""
-    return 8.0 * _EPS * abs(f_min)
+    return _BAND * abs(f_min)
 
 
 class BranchConstants(NamedTuple):
@@ -290,11 +299,10 @@ def _constants_for(a: float) -> BranchConstants:
     if a == 0.0:
         # Lambert limit: constants of w*exp(w), whose branch point is (-1/e, -1).
         return BranchConstants(-INV_E, -1.0, INV_E)
-    log_ratio = math.log1p(-a) - math.log1p(a)  # log((1-a)/(1+a))
-    w_min = log_ratio / (2.0 * a)
-    f_min = -a / math.sqrt((1.0 - a) * (1.0 + a)) * math.exp(log_ratio / (2.0 * a))
-    scale = f_min * (a * a - 1.0)
-    return BranchConstants(f_min, w_min, scale)
+    w_min = (math.log1p(-a) - math.log1p(a)) / (2.0 * a)  # log((1-a)/(1+a))/(2a)
+    f_min = -a / math.sqrt((1.0 - a) * (1.0 + a)) * math.exp(w_min)
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    return tuple.__new__(BranchConstants, (f_min, w_min, f_min * (a * a - 1.0)))
 
 
 def branch_constants(a) -> BranchConstants:
@@ -315,24 +323,26 @@ def _check_branch_domain(aa: float, branch: BranchId,
     """Raise UnsupportedError for an unknown branch and DomainError unless
     x lies on the branch of the validated asymmetry aa; return the branch
     constants of aa (the call's one lookup, None at a = 1) and float(x)."""
-    lower = not _is_principal(branch)
+    if branch is not _PRINCIPAL and branch is not _LOWER:
+        raise UnsupportedError(f"unknown branch {branch!r}")
     x = _finite("x", x)
+    if 0.0 < aa < 1.0:
+        bc = _constants_for(aa)
+        f_min = bc.f_min
+        if x < f_min - _BAND * abs(f_min):
+            raise DomainError(f"x = {x!r} below the branch-point value L_a = {f_min!r}")
+        if branch is _LOWER and x >= 0.0:
+            raise DomainError(f"lower branch requires x < 0, got {x!r}")
+        return bc, x
     if aa == 0.0:
         raise DomainError(
             "inverse branches are undefined at a=0 (the forward map vanishes); "
             "rescale through lambert_w instead")
-    if aa == 1.0:
-        if lower:
-            raise DomainError("the lower branch does not exist at a=1")
-        if x <= -0.5:
-            raise DomainError(f"principal branch at a=1 requires x > -1/2, got {x!r}")
-        return None, x
-    bc = _constants_for(aa)
-    if x < bc.f_min - _domain_tol(bc.f_min):
-        raise DomainError(f"x = {x!r} below the branch-point value L_a = {bc.f_min!r}")
-    if lower and x >= 0.0:
-        raise DomainError(f"lower branch requires x < 0, got {x!r}")
-    return bc, x
+    if branch is _LOWER:
+        raise DomainError("the lower branch does not exist at a=1")
+    if x <= -0.5:
+        raise DomainError(f"principal branch at a=1 requires x > -1/2, got {x!r}")
+    return None, x
 
 
 def special_point(a, n: int) -> tuple[float, float]:

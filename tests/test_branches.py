@@ -168,6 +168,20 @@ class TestTinyAAndTopOfRange:
         with pytest.raises(RangeError):
             psi(0.9999, P, sys.float_info.max)
 
+    @pytest.mark.xfail(strict=True, reason="f'(w) overflows near the root, so the Newton step "
+                       "g/dg is 0 and the solve stops early; needs the log-form residual "
+                       "of ROADMAP item 4")
+    def test_root_where_the_derivative_overflows(self):
+        a, x = 0.0013331334721427075, 1.797648567449418e308
+        value = psi(a, P, x)
+        # 40-digit root of the log form log(sinh(a*w)) + w = log(x), by Newton
+        with mpmath.workdps(40):
+            am, log_x, w = mpmath.mpf(a), mpmath.log(mpmath.mpf(x)), mpmath.mpf(value)
+            for _ in range(60):
+                w -= (mpmath.log(mpmath.sinh(am * w)) + w - log_x) / (am / mpmath.tanh(am * w) + 1)
+            ref = float(w)
+        assert abs(value - ref) <= 4.0 * math.ulp(ref)
+
     @pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 0.998])
     @pytest.mark.parametrize("x", [sys.float_info.max / 2.0, 1e308, sys.float_info.max])
     def test_top_of_range(self, a, x, mp50):

@@ -2,6 +2,7 @@
 real Lambert W branches."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -224,9 +225,21 @@ class TestFloatEntry:
     @pytest.mark.parametrize("name", sorted(_a_entry_calls()))
     @pytest.mark.parametrize("a", [True, "0.3", -0.0])
     def test_accepted_oddities_agree_with_the_record(self, name, a):
-        # as_param converts these, so the float entry must treat them alike
+        # the float entry treats these as the record route does: -0.0 is
+        # accepted, a bool or a string raises (see the next test)
         call = _a_entry_calls()[name]
-        assert _outcome(call, a) == _outcome(call, as_param(a))
+        assert _outcome(call, a) == _outcome(lambda v: call(as_param(v)), a)
+
+    @pytest.mark.parametrize("name", sorted(_a_entry_calls()))
+    @pytest.mark.parametrize("a", [True, False, "0.3"])
+    def test_bool_or_string_a_raises_the_record_error(self, name, a):
+        # the record's type rule holds on every route: no bool read as 0 or 1, no string parsed
+        with pytest.raises(DomainError) as expected:
+            AsymmetryParam(a)
+        for call in (_a_entry_calls()[name], as_param):
+            with pytest.raises(DomainError) as excinfo:
+                call(a)
+            assert str(excinfo.value) == str(expected.value)
 
     @pytest.mark.parametrize("name", sorted(_a_entry_calls()))
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 1.0 + 2.0 ** -52, -1e-300])
@@ -236,6 +249,55 @@ class TestFloatEntry:
         with pytest.raises(DomainError) as expected:
             as_param(a)
         assert str(excinfo.value) == str(expected.value)
+
+
+class _Float(float):
+    """A float subclass: it takes the generic float(value) route, not an
+    exact float's fast path."""
+
+
+def _value_entry_calls():
+    """The scalar entry points that validate a float x, z or w as given."""
+    import pqlambert
+
+    third = AsymmetryParam.from_rational(1, 3)
+    return {
+        "psi": lambda v: pqlambert.psi(0.37, P, v),
+        "psi_lower": lambda v: pqlambert.psi(0.37, LO, v),
+        "psi_closed_form": lambda v: pqlambert.psi_closed_form(third, P, v),
+        "lambert_w": lambda v: lambert_w(P, v),
+        "omega": lambda v: pqlambert.omega(0.37, v),
+        "omega_finite_n": lambda v: pqlambert.omega_finite_n(50, 0.37, v),
+        "forward": lambda v: forward(0.37, v),
+        "forward_dw": lambda v: forward_dw(0.37, v),
+    }
+
+
+_DBL_MAX = sys.float_info.max
+
+
+class TestValueFastPath:
+    """An exact float x, z or w is taken as given; every other type goes
+    through float(value).  Both routes give the same bits or the same error."""
+
+    @pytest.mark.parametrize("name", sorted(_value_entry_calls()))
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, _DBL_MAX, -_DBL_MAX,
+                                       math.inf, -math.inf, math.nan, -0.05, 0.3], ids=repr)
+    def test_exact_float_matches_the_generic_route(self, name, value):
+        call = _value_entry_calls()[name]
+        assert _outcome(call, value) == _outcome(call, _Float(value))
+
+    @pytest.mark.parametrize("name", sorted(_value_entry_calls()))
+    @pytest.mark.parametrize("value", [_Float(-0.05), np.float64(-0.05), -1, 2, Fraction(-1, 20),
+                                       True, "-0.05", "0.3"], ids=repr)
+    def test_other_types_match_their_float(self, name, value):
+        call = _value_entry_calls()[name]
+        assert _outcome(call, value) == _outcome(call, _Float(float(value)))
+
+    @pytest.mark.parametrize("name", sorted(_value_entry_calls()))
+    def test_non_numbers_raise_the_real_number_error(self, name):
+        outcome = _outcome(_value_entry_calls()[name], "x0")
+        assert outcome[0] is DomainError and "must be a real number, got 'x0'" in outcome[1]
 
 
 class TestBranchConstants:
