@@ -4,6 +4,7 @@ library_scalar pools of the benchmark.
 
 Usage:
     python scripts/percall_ab.py OLD_SRC NEW_SRC [--seeds 1 2 3 4] [--passes 5]
+                                 [--kinds KIND ...]
 
 OLD_SRC and NEW_SRC each hold a pqlambert package (a checkout's src/).
 Both load into this one process under their own names, and every op of
@@ -14,10 +15,16 @@ timed back to back, a copy called second reads faster (an A/A run of two
 identical copies put the second about 11 % ahead), because the first call
 warms the caches for it.
 
-Prints, per kind and over all ops, the median call time on each tree in
-microseconds and the change, then the number of ops whose results differ
-(repr of the value, sign of zero included, or the exception's class and
-message).
+Prints, per kind and over all ops, the median and the 99th percentile of
+the call time on each tree in microseconds, each with its change; the cost
+of psi_derivative grows with its order n, so it gets one more row per
+order.  Then the number of ops whose results differ (repr of the value,
+sign of zero included, or the exception's class and message).
+
+--kinds keeps only the ops of the kinds named.  In the full mix a call
+also pays for the cache state the calls before it left behind, so a
+change to one kind can shift the others by a few percent; timed alone,
+an unchanged kind reads the same on both trees.
 """
 
 import argparse
@@ -43,6 +50,10 @@ def load(src: str, name: str):
     return module
 
 
+def p99(values) -> float:
+    return statistics.quantiles(values, n=100, method="inclusive")[-1]
+
+
 def outcome(fn, args):
     try:
         return repr(fn(*args))
@@ -56,18 +67,19 @@ def main(argv=None) -> int:
     parser.add_argument("new_src")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4])
     parser.add_argument("--passes", type=int, default=5)
+    parser.add_argument("--kinds", nargs="+")
     args = parser.parse_args(argv)
 
     trees = (load(args.old_src, "pqlambert_old"), load(args.new_src, "pqlambert_new"))
-    ops = [op for seed in args.seeds for op in inputs.library_scalar(seed, workloads.SCALAR_POOL)]
+    ops = [op for seed in args.seeds for op in inputs.library_scalar(seed, workloads.SCALAR_POOL)
+           if not args.kinds or op.kind in args.kinds]
     bound = [tuple(workloads.bind(tree, op) for tree in trees) for op in ops]
     differ = sum(outcome(*old) != outcome(*new) for old, new in bound)
 
     perf = time.perf_counter_ns
-    times = {}  # kind -> ([old ns], [new ns])
+    per_op = [([], []) for _ in ops]  # op -> ([old ns], [new ns])
     for p in range(args.passes):
-        for i, (op, pair) in enumerate(zip(ops, bound)):
-            kind_times = times.setdefault(op.kind, ([], []))
+        for i, pair in enumerate(bound):
             first = (i + p) % 2
             for side in (first, 1 - first):
                 fn, call_args = pair[side]
@@ -76,15 +88,22 @@ def main(argv=None) -> int:
                     fn(*call_args)
                 except Exception:  # an error is an outcome too, compared by outcome()
                     pass
-                kind_times[side].append(perf() - t0)
+                per_op[i][side].append(perf() - t0)
 
-    times["all"] = tuple([t for old_new in times.values() for t in old_new[side]]
-                         for side in (0, 1))
-    print(f"{'kind':<16}{'calls':>8}{'old us':>10}{'new us':>10}{'change':>9}")
-    for kind, (old, new) in times.items():
-        m_old, m_new = statistics.median(old) / 1e3, statistics.median(new) / 1e3
-        print(f"{kind:<16}{len(old):>8}{m_old:>10.2f}{m_new:>10.2f}"
-              f"{100.0 * (m_new / m_old - 1.0):>+8.1f}%")
+    groups = {"all": range(len(ops))}
+    for i, op in enumerate(ops):
+        groups.setdefault(op.kind, []).append(i)
+        if op.kind == "psi_derivative":
+            groups.setdefault(f"psi_derivative n={op.args[3]}", []).append(i)
+    print(f"{'kind':<20}{'calls':>7}{'old p50':>9}{'new p50':>9}{'change':>8}"
+          f"{'old p99':>9}{'new p99':>9}{'change':>8}  (us)")
+    for kind in sorted(groups):
+        old, new = ([t for i in groups[kind] for t in per_op[i][side]] for side in (0, 1))
+        line = f"{kind:<20}{len(old):>7}"
+        for stat in (statistics.median, p99):
+            s_old, s_new = stat(old) / 1e3, stat(new) / 1e3
+            line += f"{s_old:>9.2f}{s_new:>9.2f}{100.0 * (s_new / s_old - 1.0):>+7.1f}%"
+        print(line)
     print(f"results that differ: {differ} of {len(ops)}")
     return 0
 

@@ -1,7 +1,7 @@
-"""Derivatives of the inverse branches by reversion of the local forward
-series (the paper's polynomial recurrence P_n stays as a cross-check), the
-primitive function, closed-form definite integrals, and numeric
-quadrature for the transition-function integral identity."""
+"""Derivatives of the inverse branches by Lagrange inversion of the local
+forward series (the paper's polynomial recurrence P_n stays as a
+cross-check), the primitive function, closed-form definite integrals, and
+numeric quadrature for the transition-function integral identity."""
 
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .core import (
     as_param,
     branch_constants,
 )
-from .series import _local_coeffs, _revert
+from .series import _inverse_derivative, _local_coeffs
 
 __all__ = list(_LAZY["calculus"])
 
@@ -106,12 +106,14 @@ def pn_sequence(a, nmax: int) -> tuple:
 def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
     """n-th derivative of the selected inverse branch at x.
 
-    Reverts the forward series at w = psi(x), f(w + h) - x = sum_k c_k h^k
+    Inverts the forward series at w = psi(x), f(w + h) - x = sum_k c_k h^k
     with c_k = f^(k)(w)/k!, into psi(x + y) - w = sum_m d_m y^m, and
-    returns n!*d_n.  The c_k enter scaled by c_1 = f'(w), and 1/c_1 is
-    applied last, so the result overflows (raising RangeError) only where
-    the derivative itself does.  f'(w) vanishes at the branch point, so
-    x = f_min is rejected as a singularity.  The paper's closed form
+    returns n!*d_n, formed alone in O(n^2) by the Lagrange-Burmann formula
+    n*d_n = [h^(n-1)] (sum_k c_k h^(k-1))^(-n) (series._inverse_derivative).
+    The c_k enter scaled by c_1 = f'(w), and 1/c_1 is applied last, so the
+    result overflows (raising RangeError) only where the derivative itself
+    does.  f'(w) vanishes at the branch point, so x = f_min is rejected as
+    a singularity.  The paper's closed form
     P_n(cosh(a*psi), sinh(a*psi)) * exp(-n*psi) /
     (a*cosh(a*psi) + sinh(a*psi))^(2n-1), with P_n from pn_sequence, gives
     the same values but cancels on the lower branch and near a = 1.
@@ -127,7 +129,7 @@ def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
         inv_c1, r = _local_coeffs(aa, w, n)
     except OverflowError as exc:
         raise RangeError(f"derivative magnitude overflows at x = {x!r}") from exc
-    value = math.factorial(n) * _revert(r)[-1]
+    value = _inverse_derivative(r)
     for _ in range(n):  # the partial products lie between the first and the last
         value *= inv_c1
     if not math.isfinite(value):
@@ -141,6 +143,10 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     x*psi(x) - x/(1-a^2) + a*x*coth(a*psi(x))/(1-a^2),
     with the limits a/(1-a^2) at x=0 (principal) and
     f_min*(w_min - 2/(1-a^2)) at the branch point where coth = -1/a.
+    Where a term of that sum overflows (large x), the value is taken as
+    x*(psi + (a*coth(a*psi) - 1)/(1-a^2)), with a*coth(t) - 1 =
+    2a*exp(-2t)/(-expm1(-2t)) - (1-a) free of cancellation for t > 0, and
+    RangeError is raised only where it leaves the double range.
     """
     aa = _interior_a(a)
     bc, x = _check_branch_domain(aa, branch, x)
@@ -150,7 +156,15 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     if x == 0.0:
         return aa / one_m
     psiv = branches.psi(aa, branch, x)
-    return x * psiv - x / one_m + aa * (x / math.tanh(aa * psiv)) / one_m
+    value = x * psiv - x / one_m + aa * (x / math.tanh(aa * psiv)) / one_m
+    if math.isfinite(value):
+        return value
+    t = -2.0 * aa * psiv  # only x >> 1 gets here, so psi > 0 and t < 0
+    k = (2.0 * aa * math.exp(t) / -math.expm1(t) - (1.0 - aa)) / ((1.0 - aa) * (1.0 + aa))
+    value = x * (psiv + k)
+    if not math.isfinite(value):
+        raise RangeError(f"primitive magnitude overflows at x = {x!r}")
+    return value
 
 
 def integral_psi(a, branch: BranchId) -> float:

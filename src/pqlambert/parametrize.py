@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from . import _LAZY
-from .core import DomainError, _a_value, _interior_a, _real
+from .core import DomainError, _a_value, _interior_a, _real, forward
 
 __all__ = list(_LAZY["parametrize"])
 
@@ -30,8 +30,10 @@ class AlphaPoint(NamedTuple):
 def param_beta(a, beta: float) -> tuple[float, float]:
     """Principal-branch parametrization for positive abscissas.
 
-    Returns (x, psi0) with x = (beta^(1+a) - beta^(1-a))/2 and
-    psi0 = log(beta); any beta > 1 gives x > 0.
+    Returns (x, psi0) with x = (beta^(1+a) - beta^(1-a))/2 = f(a, psi0)
+    and psi0 = log(beta); any beta > 1 gives x > 0.  x comes from
+    core.forward, which switches to a log form where a factor overflows and
+    raises RangeError only where x exceeds the largest double.
     """
     aa = _a_value(a)
     if aa == 0.0:
@@ -40,8 +42,7 @@ def param_beta(a, beta: float) -> tuple[float, float]:
     if not 1.0 < beta < math.inf:
         raise DomainError(f"requires finite beta > 1, got {beta!r}")
     lb = math.log(beta)
-    x = 0.5 * math.exp((1.0 - aa) * lb) * math.expm1(2.0 * aa * lb)
-    return x, lb
+    return forward(aa, lb), lb
 
 
 def _log_expm1(t: float) -> float:
@@ -61,15 +62,35 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
     expm1/log1p kernels, so neither the alpha -> 1 branch-point limit nor
     the alpha -> inf tail loses precision beyond the representation of
     alpha itself.  alpha sweeps (1, inf) onto x in [f_min, 0).
+
+    The two logs of psi1 cancel where q = 1 - (alpha^(1-a)-1)/(alpha^(1+a)-1)
+    is below 1/2 (small a, or alpha near 1 with a < 1/3; q rises from
+    2a/(1+a)).  There the values come from q = expm1(-2aL)/expm1(-(1+a)L),
+    L = log(alpha), and rho = alpha^(a-1)*q instead, both per unit 2a so
+    that no product with a tiny a rounds into the subnormal range:
+    2a*psi1 = log1p(-q), 2a*psi0 = log1p(-rho), x = -a*(rho/2a)*exp((1-a)psi0).
     """
     aa = _interior_a(a)
     alpha = _real("alpha", alpha)
     if not 1.0 < alpha < math.inf:
         raise DomainError(f"requires finite alpha > 1, got {alpha!r}")
     la = math.log(alpha)
+    if aa < 1.0 / 3.0:
+        ta = 2.0 * aa
+        t = ta * la
+        q_2a = la * (math.expm1(-t) / -t if t else 1.0) / -math.expm1(-(1.0 + aa) * la)
+        q = ta * q_2a
+        if q < 0.5:
+            rho_2a = q_2a * math.exp(aa * la) / alpha
+            rho = ta * rho_2a
+            # log1p(-v)/(-v) rounds to 1 below v = 1e-17, where v may be subnormal
+            psi1 = math.log1p(-q) / ta if q > 1e-17 else -q_2a
+            psi0 = math.log1p(-rho) / ta if rho > 1e-17 else -rho_2a
+            x = -aa * (rho_2a * math.exp((1.0 - aa) * psi0))
+            return AlphaPoint(alpha=alpha, x=x, psi0=psi0, psi1=psi1)
     le_low = _log_expm1((1.0 - aa) * la)
-    le_mid = _log_expm1(2.0 * aa * la)
     le_high = _log_expm1((1.0 + aa) * la)
+    le_mid = _log_expm1(2.0 * aa * la)
     psi1 = (le_low - le_high) / (2.0 * aa)
     log_rho = le_mid - le_high
     rho = math.exp(log_rho)

@@ -133,6 +133,12 @@ def _log_abs_diff_terms(log_hi: float, log_ratio: float, m) -> np.ndarray:
     return out
 
 
+def _log_ratio(lo: float, hi: float) -> float:
+    """log(lo/hi) < 0 as log(lo) - log(hi), or as log(lo/hi) where the two
+    logs round to the same value (lo and hi a few ulps apart)."""
+    return math.log(lo) - math.log(hi) or math.log(lo / hi)
+
+
 def log_pq_binomial(params: PqParams, k: int) -> float:
     """Natural log of the p,q-binomial coefficient (n, k).
 
@@ -149,7 +155,7 @@ def log_pq_binomial(params: PqParams, k: int) -> float:
     hi = max(params.p, params.q)
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
-    log_ratio = math.log(lo) - math.log(hi)
+    log_ratio = _log_ratio(lo, hi)
     j = np.arange(1, k + 1, dtype=float)
     num = _log_abs_diff_terms(log_hi, log_ratio, n - k + j)
     den = _log_abs_diff_terms(log_hi, log_ratio, j)
@@ -199,7 +205,7 @@ def _terms_and_peaks(params: PqParams) -> tuple[np.ndarray, tuple]:
     hi = max(params.p, params.q)
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
-    log_ratio = math.log(lo) - math.log(hi)
+    log_ratio = _log_ratio(lo, hi)
     d = _log_abs_diff_terms(log_hi, log_ratio, np.arange(1, n + 1, dtype=float))
     # each d[m] is good to a few ulps of its larger summand, at most
     # n*|log hi| or, at m = 1, |log(1 - lo/hi)|

@@ -1,8 +1,9 @@
 """Series machinery: one truncated power-series reversion engine and the
 expansions it generates (the Taylor series of the principal branch at
 zero, the square-root expansions at the branch point, the transition
-series, the large/small argument asymptotics, and the local series behind
-calculus.psi_derivative), the partial Bell polynomials, and the rigorous
+series and the large/small argument asymptotics), the local series behind
+calculus.psi_derivative with the Lagrange inversion that takes its one
+needed coefficient, the partial Bell polynomials, and the rigorous
 two-sided envelopes around the logarithmic leading terms."""
 
 from __future__ import annotations
@@ -159,6 +160,25 @@ def _revert(c, rhs=None) -> list:
             acc -= c[k - 1] * s
         d[m] = acc / c[0]
     return d[1:]
+
+
+def _inverse_derivative(r) -> float:
+    """n-th derivative at 0 of the inverse of h -> sum_k r_k h^k, where
+    r_k = r[k-1], r_1 = 1 and n = len(r).
+
+    Lagrange-Burmann inversion gives n! d_n = (n-1)! [h^(n-1)] R(h)^(-n)
+    with R(h) = sum_k r_k h^(k-1), and Miller's recurrence gives the power
+    in O(n^2): p_0 = 1, p_k = (1/k) sum_{j=1..k} ((1-n)j - k) r_{j+1} p_{k-j}.
+    Only the last coefficient is formed; _revert builds every d_m.
+    """
+    n = len(r)
+    p = [1.0]
+    for k in range(1, n):
+        s = 0.0
+        for j in range(1, k + 1):
+            s += ((1 - n) * j - k) * r[j] * p[k - j]
+        p.append(s / k)
+    return math.factorial(n - 1) * p[-1]
 
 
 def _local_coeffs(a: float, w: float, n: int) -> tuple[float, list]:

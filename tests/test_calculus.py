@@ -35,7 +35,9 @@ from pqlambert.calculus import (
     psi_derivative,
     psi_primitive,
 )
+from pqlambert.series import _inverse_derivative, _local_coeffs, _revert
 from pqlambert.series import derivative_series_check, taylor_at_zero
+from test_bit_identity import BRANCHES, grid
 
 P, LO = BranchId.PRINCIPAL, BranchId.LOWER
 
@@ -152,6 +154,21 @@ class TestPsiDerivative:
             ref = self._reference(a, branch, x, n)
             assert abs(got / ref - 1) <= 1e-10, (a, branch, x, n)
 
+    def test_lagrange_coefficient_matches_full_reversion(self):
+        # n! d_n by Lagrange inversion against the last entry of the O(n^3)
+        # reversion, at orders 1-8 on every point of the pinned grid: equal
+        # at orders 1 and 2, within 2^-46 relative (64 units of 2^-52) above
+        for a, branch, x in (args[:3] for f, args in grid() if f == "psi_derivative"):
+            w = psi(a, BRANCHES[branch], x)
+            for n in range(1, 9):
+                _, r = _local_coeffs(a, w, n)
+                want = math.factorial(n) * _revert(r)[-1]
+                got = _inverse_derivative(r)
+                if n <= 2:
+                    assert got == want, (a, branch, x, n)
+                else:
+                    assert abs(got - want) <= 2.0 ** -46 * abs(want), (a, branch, x, n)
+
     def test_overflow_is_a_range_error(self):
         # psi' = 1/((1-a)x) to leading order near 0 on the lower branch
         with pytest.raises(RangeError):
@@ -201,6 +218,33 @@ class TestPsiPrimitive:
 
         fd = (4.0 * central(h / 2.0) - central(h)) / 3.0
         assert fd == pytest.approx(psi(a, branch, x), rel=1e-7, abs=1e-7)
+
+    @staticmethod
+    def _reference(a, x):
+        with mpmath.workdps(60):
+            w = mp_branch_root(a, x, psi(a, P, x))
+            am, xm = mpmath.mpf(a), mpmath.mpf(x)
+            return xm * (w + (am * mpmath.coth(am * w) - 1) / (1 - am * am))
+
+    @pytest.mark.parametrize("a, x", [(1.0 - 2.0 ** -52, 1e300), (1.0 - 2.0 ** -52, 5e305),
+                                      (1.0 - 1e-10, 1e300), (1.0 - 1e-10, 1e305)])
+    def test_large_x_near_a_one_is_finite(self, a, x):
+        # x/(1-a^2) overflows here; the sum was inf - inf = nan
+        got = psi_primitive(a, P, x)
+        assert abs(got / self._reference(a, x) - 1) <= 1e-14
+
+    @pytest.mark.parametrize("a, x", [(0.37, 1.7e308), (0.5, 1.7e308), (1.0 - 1e-10, 1e306)])
+    def test_overflowing_value_is_a_range_error(self, a, x):
+        assert self._reference(a, x) > sys.float_info.max
+        with pytest.raises(RangeError):
+            psi_primitive(a, P, x)
+
+    @pytest.mark.parametrize("a, x", [(0.37, 1e305), (0.5, 3e305), (0.2, 10.0),
+                                      (0.9, -0.1), (1.0 - 1e-10, 1e298)])
+    def test_finite_sum_keeps_its_bits(self, a, x):
+        w = psi(a, P, x)
+        one_m = 1.0 - a * a
+        assert psi_primitive(a, P, x) == x * w - x / one_m + a * (x / math.tanh(a * w)) / one_m
 
     def test_lower_branch_rejects_zero(self):
         with pytest.raises(DomainError):

@@ -1,7 +1,9 @@
 """Tests for the beta and alpha parametrizations."""
 
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from pqlambert.core import (
     AsymmetryParam,
     BranchId,
     DomainError,
+    RangeError,
     branch_constants,
     forward,
 )
@@ -42,6 +45,23 @@ class TestParamBeta:
         beta = math.exp(logbeta)
         x, p0 = param_beta(a, beta)
         assert psi(a, P, x) == pytest.approx(p0, rel=1e-11, abs=1e-13)
+
+    @pytest.mark.parametrize("a, beta", [(1.0 - 2.0 ** -52, 1.5e154), (0.9999, 1.5e154),
+                                         (1e-5, 1.7e308), (0.37, 1e200)])
+    def test_large_beta_against_mpmath(self, a, beta):
+        # expm1(2a*log(beta)) overflows at the first two though x is finite
+        with mpmath.workdps(60):
+            am, bm = mpmath.mpf(a), mpmath.mpf(beta)
+            want = (bm ** (1 + am) - bm ** (1 - am)) / 2
+        x, lb = param_beta(a, beta)
+        assert lb == math.log(beta)
+        assert abs(x / want - 1) <= 2e-13
+
+    @pytest.mark.parametrize("a", [0.37, 0.5, 0.9999, 1.0])
+    def test_x_past_the_double_range_is_a_range_error(self, a):
+        # x = (beta^(1+a) - beta^(1-a))/2 is about 1e300^(1+a)/2 here
+        with pytest.raises(RangeError):
+            param_beta(a, 1e300)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -122,6 +142,51 @@ class TestParamAlpha:
                     pt.psi0, abs=2e-12 * max(1.0, abs(pt.psi0)))
                 assert psi(a, LO, pt.x) == pytest.approx(
                     pt.psi1, abs=2e-12 * max(1.0, abs(pt.psi1)))
+
+    @staticmethod
+    def _reference(a, alpha):
+        """(x, psi0, psi1) at 60 digits from q = 2*alpha*sinh(aL)/expm1((1+a)L)
+        and rho = expm1(2aL)/expm1((1+a)L), L = log(alpha): log1p(-q) and
+        log1p(-rho) below 1/2, the difference of logs above, where they do
+        not cancel."""
+        with mpmath.workdps(60):
+            am, alm = mpmath.mpf(a), mpmath.mpf(alpha)
+            L = mpmath.log(alm)
+            e_high = mpmath.expm1((1 + am) * L)
+            q = 2 * alm * mpmath.sinh(am * L) / e_high
+            rho = mpmath.expm1(2 * am * L) / e_high
+            d = mpmath.log(mpmath.expm1((1 - am) * L)) - mpmath.log(e_high)
+            psi1 = (mpmath.log1p(-q) if q < 0.5 else d) / (2 * am)
+            psi0 = (mpmath.log1p(-rho) if rho < 0.5 else 2 * am * L + d) / (2 * am)
+            return -rho / 2 * mpmath.exp((1 - am) * psi0), psi0, psi1
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-16, 1e-8])
+    @pytest.mark.parametrize("alpha", [1.0 + 2.0 ** -40, 1.5, 2.0, 1e10, 1e300, 1.7e308])
+    def test_tiny_a_against_mpmath(self, a, alpha):
+        # psi1 was 0.0 below a of about 1e-16 (its two logs cancelled), and
+        # x was nan at a = 5e-324, where (1-a)/(2a) overflows
+        pt = param_alpha(a, alpha)
+        x, psi0, psi1 = self._reference(a, alpha)
+        assert abs(pt.psi1 / psi1 - 1) <= 1e-15
+        assert abs(pt.psi0 / psi0 - 1) <= 1e-15
+        # a subnormal x holds only a few bits: one unit of 2^-1074 is allowed
+        assert abs(pt.x - x) <= 1e-15 * abs(x) + 2.0 ** -1074
+
+    def test_tiny_a_examples(self):
+        assert param_alpha(1e-300, 2.0).psi1 == pytest.approx(-2.0 * math.log(2.0), rel=1e-15)
+        assert param_alpha(5e-324, 1e300).x == 0.0
+
+    @pytest.mark.parametrize("a, alpha", [
+        pytest.param(a, alpha, marks=pytest.mark.xfail(strict=True, reason=(
+            "psi0 is 1e-2 off: rho = exp(log_rho) lies within a few ulps of 1, "
+            "and log1p(-rho) keeps none of the digits of 1 - rho")))
+        if (a, alpha) == (1.0 - 2.0 ** -52, 1.5) else (a, alpha)
+        for a in (0.1, 0.3, 0.5, 0.9, 0.999, 1.0 - 2.0 ** -52)
+        for alpha in (1.0 + 2.0 ** -40, 1.5, 1e10, 1e300, 1.7e308)])
+    def test_against_mpmath(self, a, alpha):
+        pt = param_alpha(a, alpha)
+        for got, want in zip(pt, (alpha,) + self._reference(a, alpha)):
+            assert abs(got / want - 1) <= 1e-12
 
     def test_validation(self):
         with pytest.raises(DomainError):

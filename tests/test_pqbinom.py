@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pqlambert.core import AsymmetryParam, DomainError, RangeError, as_param
 from pqlambert.branches import omega, omega_finite_n
@@ -168,6 +168,7 @@ class TestDistribution:
         assert build_distribution(PqParams(n=63, p=1.001, q=0.999)).peaks == (31,)
 
     @given(st.integers(4, 200), st.floats(0.05, 3.0), st.floats(0.05, 3.0))
+    @example(n=4, p=0.05, q=0.05000000000000001)  # log(p) == log(q): was a ValueError
     @settings(max_examples=300, deadline=None)
     def test_one_or_two_peaks_never_more(self, n, p, q):
         if p == q:
