@@ -319,6 +319,10 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
     return w if math.isfinite(w) else _solve_branch(p.a, bc, branch, x)
 
 
+_LOG_TINY = math.log(sys.float_info.min)  # e^z is subnormal below this
+_EXP_M64 = math.exp(-64.0)
+
+
 def omega(a, z: float) -> float:
     """Branch transition function: the other solution with the same map value.
 
@@ -334,6 +338,11 @@ def omega(a, z: float) -> float:
     if aa == 0.0:
         if z == -1.0:
             return -1.0
+        if z < _LOG_TINY:
+            # e^z is subnormal, so z*e^z loses up to 340 ulps, and below
+            # z = -745 it is -0.0 and W0 returns +0.0.  (z*e^(z+64))*e^-64,
+            # with z + 64 exact, is within an ulp; W0 of it is itself
+            return z * math.exp(z + 64.0) * _EXP_M64
         return lambert_w(_PRINCIPAL if z < -1.0 else _LOWER, z * math.exp(z))
     bc = _constants_for(aa)
     if z == bc.w_min:

@@ -34,6 +34,7 @@ __all__ = list(_LAZY["calculus"])
 DERIVATIVE_ORDER_MAX = 8
 _TS_T_MAX = 4.0   # tanh-sinh nodes beyond t = 4 lie within 1e-37*r of an endpoint
 _TS_LEVELS = 10   # finest step 2^-10: at most 8193 nodes per integral
+_S_UNDERFLOW = 1074.0 * math.log(2.0)  # exp(-s) is the least subnormal here
 
 
 class PnPolynomial(NamedTuple):
@@ -241,7 +242,9 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     # lower branch: [f_min, f_min/2] via t, [f_min/2, 0) via x = -exp(-s)
     v1, _ = _tanh_sinh(by_t, 0.0, math.sqrt(-fmin / 2.0), rel_tol / 8.0)
     s0 = -math.log(-fmin / 2.0)
-    s_max = s0 + 60.0  # exp(-60) tail is far below any allowed tolerance
+    # the exp(-60) tail is far below any allowed tolerance; at a < 3.1e-297
+    # the range ends before -exp(-s) underflows (a 1e-20 tail at a = 1e-300)
+    s_max = min(s0 + 60.0, _S_UNDERFLOW)
 
     def by_s(s):
         xv = -math.exp(-s)

@@ -3,10 +3,12 @@ coefficients, check integral identities, build p,q-binomial distribution
 files, and run the self-check suites.
 
 All numeric logic lives in the library modules; the commands only parse
-arguments, dispatch, and serialize.  Floats are rendered with 17
-significant digits so every emitted value round-trips bit-exactly.  Each
-verb imports the library modules it runs when it runs, so a process
-loads only what its verb needs.
+arguments, dispatch, and serialize.  ``eval`` and ``sweep`` dispatch
+through one route table, and ``main`` is the one place where a library
+error becomes an exit code.  Floats are rendered with 17 significant
+digits so every emitted value round-trips bit-exactly.  Each verb imports
+the library modules it runs when it runs, so a process loads only what
+its verb needs.
 """
 
 from __future__ import annotations
@@ -61,11 +63,6 @@ def _parse_a(text: str) -> core.AsymmetryParam:
     return core.AsymmetryParam(num) if den is None else core.AsymmetryParam.from_rational(num, den)
 
 
-def _die_domain(message: str):
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(EXIT_DOMAIN)
-
-
 class _Command:
     """One verb: the function that runs it and the arguments of its
     sub-parser.  ``callback`` is read at dispatch time, so a wrapper set on
@@ -104,9 +101,21 @@ def _writable_path(text: str) -> str:
 
 _FORMAT = _arg("--format", dest="fmt", choices=("csv", "json"), default="csv")
 _BRANCH = ("principal", "lower")
-_BRANCH_OF = {"psi0": core.BranchId.PRINCIPAL, "W0": core.BranchId.PRINCIPAL,
-              "psi1": core.BranchId.LOWER, "Wm1": core.BranchId.LOWER}
-_EVAL_FUNCTIONS = ("f", "psi", "psi0", "psi1", "omega", "omega_n", "W0", "Wm1")
+_FUNCTIONS = ("f", "psi", "psi0", "psi1", "omega", "omega_n", "W0", "Wm1")
+_P, _L = core.BranchId.PRINCIPAL, core.BranchId.LOWER
+# The one dispatch of eval and sweep: function -> (input column, branch,
+# needs --a, library call of (a, t)).  Each call looks its library function
+# up when it runs, so a wrapper set on that function sees it.  omega_n,
+# which eval alone offers, also takes --n.
+_ROUTES = {
+    "f": ("w", None, True, lambda a, w: core.forward(a, w)),
+    "psi0": ("x", _P, True, lambda a, x: branches.psi(a, _P, x)),
+    "psi1": ("x", _L, True, lambda a, x: branches.psi(a, _L, x)),
+    "omega": ("z", None, True, lambda a, z: branches.omega(a, z)),
+    "omega_n": ("z", None, True, None),
+    "W0": ("x", _P, False, lambda a, x: core.lambert_w(_P, x)),
+    "Wm1": ("x", _L, False, lambda a, x: core.lambert_w(_L, x)),
+}
 
 
 def _resolve_branch(function, branch_name):
@@ -115,15 +124,26 @@ def _resolve_branch(function, branch_name):
         if branch_name is None:
             raise core.DomainError("function 'psi' requires --branch")
         return "psi0" if branch_name == "principal" else "psi1"
-    branch = _BRANCH_OF.get(function)
+    branch = _ROUTES[function][1]
     if branch_name is not None and branch is not None and branch_name != branch.value:
         raise core.DomainError(f"--branch {branch_name} contradicts function {function}")
     return function
 
 
+def _closed_form(function, a):
+    """The closed-form call of psi0/psi1/omega at an exact rational a, or
+    None.  eval takes its value from it; sweep adds omega's as a column."""
+    classify = branches.ClosedFormTag.classify
+    if function == "omega" and classify(a) in branches.OMEGA_CLOSED_FORMS:
+        return branches.omega_closed_form
+    if function in ("psi0", "psi1") and classify(a) is not branches.ClosedFormTag.NONE:
+        return lambda a, x: branches.psi_closed_form(a, _ROUTES[function][1], x)
+    return None
+
+
 @_command(
     "eval",
-    _arg("function", choices=_EVAL_FUNCTIONS),
+    _arg("function", choices=_FUNCTIONS),
     _a_arg(help="asymmetry, decimal or exact 'num/den'"),
     _arg("--x", type=float, help="abscissa for f/psi0/psi1/W0/Wm1 (w for f)"),
     _arg("--z", type=float, help="argument for omega/omega_n"),
@@ -134,63 +154,39 @@ def _resolve_branch(function, branch_name):
 )
 def cmd_eval(function, a_text, x, z, n_value, branch_name, fmt):
     """Evaluate one function value with a residual diagnostic."""
-    try:
-        function = _resolve_branch(function, branch_name)
-        rec = {"function": function}
-        if function in ("W0", "Wm1"):
-            if x is None:
-                raise core.DomainError("--x is required")
-            value = core.lambert_w(_BRANCH_OF[function], x)
-            rec.update(x=x, value=value,
-                       residual=abs(value * math.exp(value) - x))
-        else:
-            if a_text is None:
-                raise core.DomainError("--a is required")
-            a = _parse_a(a_text)
-            rec["a"] = a.a
-            if function == "f":
-                if x is None:
-                    raise core.DomainError("--x (the argument w) is required")
-                rec.update(x=x, value=core.forward(a, x))
-            elif function in ("psi0", "psi1"):
-                if x is None:
-                    raise core.DomainError("--x is required")
-                branch = _BRANCH_OF[function]
-                # exact rationals dispatch to the closed forms
-                if branches.ClosedFormTag.classify(a) is not branches.ClosedFormTag.NONE:
-                    value = branches.psi_closed_form(a, branch, x)
-                else:
-                    value = branches.psi(a, branch, x)
-                rec.update(x=x, value=value,
-                           residual=abs(core.forward(a, value) - x))
-            elif function == "omega":
-                if z is None:
-                    raise core.DomainError("--z is required")
-                if branches.ClosedFormTag.classify(a) in branches.OMEGA_CLOSED_FORMS:
-                    value = branches.omega_closed_form(a, z)
-                else:
-                    value = branches.omega(a, z)
-                if a.a > 0.0:
-                    res = abs(core.forward(a, value) - core.forward(a, z))
-                else:
-                    res = abs(value * math.exp(value) - z * math.exp(z))
-                rec.update(z=z, value=value, residual=res)
-            else:  # omega_n
-                if z is None or n_value is None:
-                    raise core.DomainError("--z and --n are required")
-                from . import pqbinom
+    function = _resolve_branch(function, branch_name)
+    column, _, needs_a, call = _ROUTES[function]
+    rec, a = {"function": function}, None
+    if needs_a:
+        if a_text is None:
+            raise core.DomainError("--a is required")
+        a = _parse_a(a_text)
+        rec["a"] = a.a
+    if function == "omega_n":
+        if z is None or n_value is None:
+            raise core.DomainError("--z and --n are required")
+        from . import pqbinom
 
-                value = branches.omega_finite_n(n_value, a, z)
-                if 1.0 + 2.0 * value / n_value <= 0.0:
-                    raise core.RangeError(f"omega_n = {value!r} is -n/2 to double precision, "
-                                          "where p = 1 + 2y/n is 0 and the residual is undefined")
-                params = pqbinom.PqParams.from_transition(n_value, a, z, value)
-                k = round(n_value * (1.0 - a.a) / 2.0)
-                rec.update(n=n_value, z=z, value=value,
-                           residual=abs(pqbinom.equal_ratio_residual(params, k)))
-        _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
-    except (core.DomainError, core.RangeError) as exc:
-        _die_domain(str(exc))
+        value = branches.omega_finite_n(n_value, a, z)
+        if 1.0 + 2.0 * value / n_value <= 0.0:
+            raise core.RangeError(f"omega_n = {value!r} is -n/2 to double precision, "
+                                  "where p = 1 + 2y/n is 0 and the residual is undefined")
+        params = pqbinom.PqParams.from_transition(n_value, a, z, value)
+        k = round(n_value * (1.0 - a.a) / 2.0)
+        rec.update(n=n_value, z=z, value=value,
+                   residual=abs(pqbinom.equal_ratio_residual(params, k)))
+    else:
+        key, t = ("z", z) if column == "z" else ("x", x)
+        if t is None:
+            hint = " (the argument w)" if column == "w" else ""
+            raise core.DomainError(f"--{key}{hint} is required")
+        rec[key] = t
+        rec["value"] = value = (_closed_form(function, a) or call)(a, t)
+        if function != "f":  # the map at the value against the map at the input
+            at_a = needs_a and (column == "x" or a.a > 0.0)
+            fwd = (lambda w: core.forward(a, w)) if at_a else (lambda w: w * math.exp(w))
+            rec["residual"] = abs(fwd(value) - (fwd(z) if column == "z" else x))
+    _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
 
 
 def _sweep_grid(lo, hi, count, scale):
@@ -207,7 +203,7 @@ def _sweep_grid(lo, hi, count, scale):
 
 @_command(
     "sweep",
-    _arg("function", choices=("f", "psi", "psi0", "psi1", "omega", "W0", "Wm1")),
+    _arg("function", choices=tuple(f for f in _FUNCTIONS if f != "omega_n")),
     _a_arg(),
     _arg("--lo", type=float, required=True),
     _arg("--hi", type=float, required=True),
@@ -219,41 +215,29 @@ def _sweep_grid(lo, hi, count, scale):
 )
 def cmd_sweep(function, a_text, lo, hi, count, scale, branch_name, fmt, out):
     """Evaluate a function on a grid; domain violations flag the row."""
-    try:
-        function = _resolve_branch(function, branch_name)
-        if not lo < hi:
-            _die_domain(f"requires lo < hi, got {lo} >= {hi}")
-        if not 1 <= count <= 10_000_000:
-            _die_domain(f"count must be in [1, 1e7], got {count}")
-        needs_a = function not in ("W0", "Wm1")
-        if needs_a and a_text is None:
-            _die_domain("--a is required for this function")
-        a = _parse_a(a_text) if needs_a else None
-        grid = _sweep_grid(lo, hi, count, scale)
-    except core.DomainError as exc:
-        _die_domain(str(exc))
-    with_closed = (function == "omega"
-                   and branches.ClosedFormTag.classify(a) in branches.OMEGA_CLOSED_FORMS)
-    input_name = {"f": "w", "psi0": "x", "psi1": "x", "omega": "z",
-                  "W0": "x", "Wm1": "x"}[function]
+    function = _resolve_branch(function, branch_name)
+    column, _, needs_a, call = _ROUTES[function]
+    if not lo < hi:
+        raise core.DomainError(f"requires lo < hi, got {lo} >= {hi}")
+    if not 1 <= count <= 10_000_000:
+        raise core.DomainError(f"count must be in [1, 1e7], got {count}")
+    if needs_a and a_text is None:
+        raise core.DomainError("--a is required for this function")
+    a = _parse_a(a_text) if needs_a else None
+    grid = _sweep_grid(lo, hi, count, scale)
+    closed = _closed_form(function, a) if function == "omega" else None
 
     def evaluate(t):
         try:
-            if function == "f":
-                return {"value": core.forward(a, t), "status": "ok"}
-            if function in ("psi0", "psi1"):
-                return {"value": branches.psi(a, _BRANCH_OF[function], t), "status": "ok"}
-            if function == "omega":
-                rec = {"value": branches.omega(a, t), "status": "ok"}
-                if with_closed:
-                    rec["closed_form"] = branches.omega_closed_form(a, t)
-                return rec
-            return {"value": core.lambert_w(_BRANCH_OF[function], t), "status": "ok"}
+            rec = {"value": call(a, t), "status": "ok"}
+            if closed:
+                rec["closed_form"] = closed(a, t)
+            return rec
         except (core.DomainError, core.RangeError) as exc:
             return {"value": "", "status": f"domain_error: {exc}"}
 
-    records = [{input_name: t, **evaluate(t)} for t in grid]
-    fieldnames = [input_name, "value"] + (["closed_form"] if with_closed else []) + ["status"]
+    records = [{column: t, **evaluate(t)} for t in grid]
+    fieldnames = [column, "value"] + (["closed_form"] if closed else []) + ["status"]
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _emit_records(records, fieldnames, fmt, fh)
@@ -275,30 +259,26 @@ def cmd_series(a_text, kind, order, terms, fmt):
     """Print expansion coefficients (index, exponent, coefficient)."""
     from . import series
 
-    try:
-        a = _parse_a(a_text)
-        which = kind.partition("-")[2]
-        if kind == "taylor":
-            exp_step, exp_name = 1.0, "x"
-            coeffs = series.taylor_at_zero(a, order).coeffs
-        elif kind.startswith("branch-"):
-            se = series.branch_point_series(a, which, order)
-            coeffs = se.coeffs
-            exp_step = 0.5 if which in ("psi0", "psi1") else 1.0
-            exp_name = "t" if which in ("psi0", "psi1") else "u"
-        else:
-            # tail coefficients of log(2|x|)/(1 -+ a) + sum c_k V^k, where V is
-            # the large/small argument power variable of each branch
-            nterms = terms if terms is not None else min(order, series.TAIL_TERMS_MAX[which])
-            exp_step, exp_name = 1.0, "Y" if which == "psi0" else "Z"
-            coeffs = series.asymptotic_tail_coeffs(a, which, nterms)
-        records = [{"index": i + 1, "variable": exp_name,
-                    "exponent": exp_step * (i + 1), "coefficient": c}
-                   for i, c in enumerate(coeffs)]
-        _emit_records(records, ["index", "variable", "exponent", "coefficient"],
-                      fmt, sys.stdout)
-    except (core.DomainError, core.RangeError) as exc:
-        _die_domain(str(exc))
+    a = _parse_a(a_text)
+    which = kind.partition("-")[2]
+    if terms is not None and not kind.startswith("asym-"):
+        raise core.DomainError("--terms applies only to the asym-* kinds")
+    if kind == "taylor":
+        exp_step, exp_name = 1.0, "x"
+        coeffs = series.taylor_at_zero(a, order).coeffs
+    elif kind.startswith("branch-"):
+        coeffs = series.branch_point_series(a, which, order).coeffs
+        exp_step, exp_name = (0.5, "t") if which in ("psi0", "psi1") else (1.0, "u")
+    else:
+        # tail coefficients of log(2|x|)/(1 -+ a) + sum c_k V^k, where V is
+        # the large/small argument power variable of each branch
+        nterms = terms if terms is not None else min(order, series.TAIL_TERMS_MAX[which])
+        exp_step, exp_name = 1.0, "Y" if which == "psi0" else "Z"
+        coeffs = series.asymptotic_tail_coeffs(a, which, nterms)
+    records = [{"index": i + 1, "variable": exp_name,
+                "exponent": exp_step * (i + 1), "coefficient": c}
+               for i, c in enumerate(coeffs)]
+    _emit_records(records, ["index", "variable", "exponent", "coefficient"], fmt, sys.stdout)
 
 
 @_command(
@@ -312,23 +292,17 @@ def cmd_integrate(a_text, target, rel_tol, fmt):
     """Closed-form integral, quadrature value, and their difference."""
     from . import calculus
 
-    try:
-        a = _parse_a(a_text)
-        if target == "omega":
-            closed = calculus.integral_omega(a)
-            quadv = calculus.integral_omega_quadrature(a, rel_tol)
-        else:
-            branch = _BRANCH_OF[target]
-            closed = calculus.integral_psi(a, branch)
-            quadv = calculus.integral_psi_quadrature(a, branch, rel_tol)
-        rec = {"target": target, "a": a.a, "closed_form": closed,
-               "quadrature": quadv, "difference": abs(closed - quadv)}
-        _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
-    except core.AccuracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(1)
-    except core.DomainError as exc:
-        _die_domain(str(exc))
+    a = _parse_a(a_text)
+    if target == "omega":
+        closed = calculus.integral_omega(a)
+        quadv = calculus.integral_omega_quadrature(a, rel_tol)
+    else:
+        branch = _ROUTES[target][1]
+        closed = calculus.integral_psi(a, branch)
+        quadv = calculus.integral_psi_quadrature(a, branch, rel_tol)
+    rec = {"target": target, "a": a.a, "closed_form": closed,
+           "quadrature": quadv, "difference": abs(closed - quadv)}
+    _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
 
 
 @_command(
@@ -346,23 +320,22 @@ def cmd_pqdist(n_value, a_text, z, p, q, out):
 
     from . import pqbinom
 
+    sidecar: dict = {"n": n_value}
+    if p is not None or q is not None:
+        if p is None or q is None or a_text is not None or z is not None:
+            raise core.DomainError("give either --p and --q, or --a and --z")
+        params = pqbinom.PqParams(n=n_value, p=p, q=q)
+        sidecar.update(a=None, z=None, y_omega=None, omega_bar=None)
+    else:
+        if a_text is None or z is None:
+            raise core.DomainError("give either --p and --q, or --a and --z")
+        a = _parse_a(a_text)
+        y = branches.omega(a, z)
+        params = pqbinom.PqParams.from_transition(n_value, a, z, y)
+        sidecar.update(a=a.a, z=z, y_omega=y, omega_bar=branches.omega_finite_n(n_value, a, z))
+    dist = pqbinom.build_distribution(params)
+    masses = dist.masses()
     try:
-        sidecar: dict = {"n": n_value}
-        if p is not None or q is not None:
-            if p is None or q is None or a_text is not None or z is not None:
-                raise core.DomainError("give either --p and --q, or --a and --z")
-            params = pqbinom.PqParams(n=n_value, p=p, q=q)
-            sidecar.update(a=None, z=None, y_omega=None, omega_bar=None)
-        else:
-            if a_text is None or z is None:
-                raise core.DomainError("give either --p and --q, or --a and --z")
-            a = _parse_a(a_text)
-            y = branches.omega(a, z)
-            params = pqbinom.PqParams.from_transition(n_value, a, z, y)
-            sidecar.update(a=a.a, z=z, y_omega=y,
-                           omega_bar=branches.omega_finite_n(n_value, a, z))
-        dist = pqbinom.build_distribution(params)
-        masses = dist.masses()
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write("k,k_over_n,mass,log_coeff\n")
             for k in range(n_value + 1):
@@ -376,11 +349,9 @@ def cmd_pqdist(n_value, a_text, z, p, q, out):
             json.dump(sidecar, fh, indent=2)
             fh.write("\n")
         print(f"wrote {out} and {sidecar_path}")
-    except OSError as exc:
+    except OSError as exc:  # the message names the path, so it is caught here
         print(f"error: I/O failure for {out}: {exc}", file=sys.stderr)
         sys.exit(1)
-    except core.DomainError as exc:
-        _die_domain(str(exc))
 
 
 @_command("envelope", _a_arg(required=True), _FORMAT)
@@ -389,12 +360,9 @@ def cmd_envelope(a_text, fmt):
     empirical crossover estimates (not contractual)."""
     from . import series
 
-    try:
-        a = _parse_a(a_text)
-        rec = {"a": a.a, **series.envelope_crossover_estimates(a)}
-        _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
-    except (core.DomainError, core.RangeError) as exc:
-        _die_domain(str(exc))
+    a = _parse_a(a_text)
+    rec = {"a": a.a, **series.envelope_crossover_estimates(a)}
+    _emit_records([rec], list(rec.keys()), fmt, sys.stdout)
 
 
 @_command("selfcheck", _arg("--level", choices=("fast", "full"), default="fast"))
@@ -451,7 +419,11 @@ def main(args=None, prog_name=None):
     and p,q-binomial distribution tools."""
     argv = _attach_values(sys.argv[1:] if args is None else list(args))
     options = vars(_parser(prog_name, argv).parse_args(argv))
-    main.commands[options.pop("verb")].callback(**options)
+    try:  # the one place a library error becomes an exit code
+        main.commands[options.pop("verb")].callback(**options)
+    except (core.DomainError, core.RangeError, core.AccuracyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1 if isinstance(exc, core.AccuracyError) else EXIT_DOMAIN)
 
 
 main.commands = _COMMANDS

@@ -395,13 +395,25 @@ def _lambert_halley(x: float, w: float, lo: float = -math.inf,
     raise ConvergenceError(f"Lambert W iteration failed for x={x!r}")
 
 
+def _lambert_wm1_log(l: float) -> float:
+    """W-1 of x = -exp(l) at a subnormal x, where w*exp(w) - x cannot be
+    resolved: Newton on the log form w + log(-w) = l (Corless et al.
+    1996).  The start l - log(-l) is within 0.01 of the root for l < -708,
+    and three steps reach it to rounding."""
+    w = l - math.log(-l)
+    for _ in range(3):
+        w -= (w + math.log(-w) - l) * w / (w + 1.0)
+    return w
+
+
 def lambert_w(branch: BranchId, x: float) -> float:
     """Real Lambert W: solves w*exp(w) = x.
 
     PRINCIPAL covers x >= -1/e with w >= -1; LOWER covers -1/e <= x < 0
     with w <= -1.  Halley iteration from a piecewise initial guess: a
     square-root expansion near the branch point -1/e, a rational guess for
-    moderate x, and log(x) - log(log(x)) style asymptotics otherwise.
+    moderate x, and log(x) - log(log(x)) style asymptotics otherwise.  At
+    a subnormal x the lower branch solves its log form instead.
     """
     x = _finite("x", x)
     # d = e*x + 1 measures the distance to the branch point in natural units
@@ -427,6 +439,8 @@ def lambert_w(branch: BranchId, x: float) -> float:
         raise DomainError(f"lower branch requires -1/e <= x < 0, got {x!r}")
     if d == 0.0:
         return -1.0
+    if x > -sys.float_info.min:
+        return _lambert_wm1_log(math.log(-x))
     if d <= 0.3:
         pbp = math.sqrt(2.0 * d)
         w = -1.0 - pbp * (1.0 + pbp * (1.0 / 3.0 + pbp * 11.0 / 72.0))

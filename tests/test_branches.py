@@ -382,6 +382,17 @@ class TestOmega:
             assert value == 0.0
             assert math.copysign(1.0, value) == -1.0
 
+    @pytest.mark.parametrize("z", [-715.0, -740.0, -745.0, -746.0, -800.0, -1e-310, -1e-320])
+    def test_zero_a_where_z_exp_z_is_subnormal(self, z, mp50):
+        # the W0 <-> W-1 swap where z*e^z is subnormal or underflows: within
+        # 2 units of the last place (of the subnormal grid, too) of the
+        # 50-digit value, and -0.0 where that rounds to zero
+        value = omega(0.0, z)
+        x = mp50.mpf(z) * mp50.exp(mp50.mpf(z))
+        ref = mp50.lambertw(x, 0 if z < -1.0 else -1).real
+        assert math.copysign(1.0, value) == -1.0
+        assert abs(value - ref) <= 2.0 * math.ulp(float(ref))
+
     @pytest.mark.parametrize("a", [0.001, 0.37, 0.5, 0.999])
     @pytest.mark.parametrize("z", [-5e-324, -1e-310, -1e-300])
     def test_lower_branch_near_zero(self, a, z, mp50):

@@ -276,6 +276,13 @@ class TestIntegralPsi:
             assert direct == pytest.approx(pref, rel=1e-14)
             assert integral_psi(a, LO) == pytest.approx(direct, rel=1e-14)
 
+    @pytest.mark.parametrize("a", [1e-300, 1e-298, 1e-297])
+    def test_quadrature_at_tiny_a(self, a):
+        # the lower range in s = -log(-x) ends before -exp(-s) underflows
+        for branch in (P, LO):
+            closed = integral_psi(a, branch)
+            assert integral_psi_quadrature(a, branch, 1e-6) == pytest.approx(closed, rel=1e-6)
+
     @pytest.mark.parametrize("a", [0.15, 0.35, 0.5, 0.7, 0.9])
     def test_quadrature_agreement(self, a):
         for branch in (P, LO):

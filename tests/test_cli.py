@@ -234,6 +234,12 @@ class TestSeriesVerb:
         _, rows = parse_csv(res.output)
         assert [int(r["index"]) for r in rows] == list(range(1, terms + 1))
 
+    @pytest.mark.parametrize("kind", ["taylor", "branch-psi0", "branch-omega"])
+    def test_terms_outside_the_asym_kinds_is_an_error(self, runner, kind):
+        res = runner.invoke(main, ["series", "--a", "1/2", "--kind", kind, "--terms", "3"])
+        assert (res.exit_code, res.stderr) == (
+            2, "error: --terms applies only to the asym-* kinds\n")
+
     def test_order_validation(self, runner):
         res = runner.invoke(main, ["series", "--a", "1/2", "--kind", "taylor",
                                    "--order", "50"])

@@ -2,6 +2,7 @@
 real Lambert W branches."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -434,6 +435,18 @@ class TestLambertW:
                 continue
             x = w * math.exp(w)
             assert lambert_w(LO, x) == pytest.approx(w, rel=1e-12)
+
+    def test_lower_branch_at_subnormal_x(self, mp50):
+        # w*e^w - x cannot be resolved where x is subnormal; the log form
+        # w + log(-w) = log(-x) is within an ulp or so of the 50-digit root
+        rng = random.Random(19)
+        lo, hi = math.log(5e-324), math.log(sys.float_info.min)
+        xs = [-math.exp(rng.uniform(lo, hi)) for _ in range(300)]
+        for x in xs + [-5e-324, -1e-320, -1e-310, -math.nextafter(sys.float_info.min, 0.0)]:
+            w = lambert_w(LO, x)
+            ref = mp50.lambertw(mp50.mpf(x), -1).real
+            assert abs(w - ref) <= 2.0 * math.ulp(w), x
+        assert lambert_w(LO, -1e-320) == -743.4385269728546
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
