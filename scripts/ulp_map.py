@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
 """Worst error in ulps, per region, of psi_derivative, taylor_at_zero and
 the closed-form branches against the 50-digit mpmath oracle of bench/,
-and worst relative error of omega_finite_n beyond its input conditioning.
+of omega at its a -> 0 band and both underflow ends against a 60-digit
+root, and worst relative error of omega_finite_n beyond its input
+conditioning.
 
 Usage:
-    PYTHONPATH=src python scripts/ulp_map.py
+    PYTHONPATH=src python scripts/ulp_map.py [MAP ...]
+
+MAP is any of taylor, closed_form, derivative, finite_n and omega; all
+run when none is named.
 
 Each line gives the function, the region, the number of points, the worst
 error in ulps of the reference value rounded to a double, and the input
@@ -12,7 +17,9 @@ where it occurs.  A point where the library raises (other than a
 RangeError where the reference overflows) is listed as a failure.  For
 omega_finite_n the worst value is max(0, |y - ref| - 16*|dy/dz|*ulp(z))/|ref|
 (0 where y is ref rounded to a double) against the root of the ratio
-equation in tests/conftest.py.
+equation in tests/conftest.py.  omega's reference is mp_omega_root there:
+the root of the log form of f(a, y) = f(a, z), with w_min taken as
+(log1p(-a) - log1p(a))/(2a), so that it holds at a subnormal a too.
 """
 
 import math
@@ -23,10 +30,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracle  # noqa: E402
-from conftest import mp_finite_n_root  # noqa: E402
+from conftest import geometric_grid, mp_finite_n_root, mp_omega_root  # noqa: E402
 
 from pqlambert import AsymmetryParam, BranchId, branch_constants  # noqa: E402
-from pqlambert.branches import omega_finite_n, psi_closed_form  # noqa: E402
+from pqlambert.branches import omega, omega_finite_n, psi_closed_form  # noqa: E402
 from pqlambert.calculus import psi_derivative  # noqa: E402
 from pqlambert.series import taylor_at_zero  # noqa: E402
 
@@ -157,8 +164,23 @@ def finite_n_map() -> None:
             report("omega_finite_n", f"a={a} {region}", region_rows, "rel")
 
 
+def omega_map() -> None:
+    """Both underflow ends, where forward(a, z) is subnormal or zero for
+    every a but the largest, and the a -> 0 band of the W0 <-> W-1 swap."""
+    ends = {
+        "principal end -1e300 <= z <= -708": geometric_grid(-1e300, -708.0, 40)
+        + [-708.5, -745.0, -746.0, -800.0],
+        "lower end -1e-300 <= z <= -5e-324": geometric_grid(-1e-300, -5e-324, 40) + [-1e-320],
+    }
+    for a in (0.0, 5e-324, 1e-300, 1e-11, 0.37, 0.999):
+        for region, zs in ends.items():
+            rows = [(z, ulps(omega(a, z), mp_omega_root(a, z))) for z in zs]
+            report("omega", f"a={a} {region}", rows)
+
+
+MAPS = {"taylor": taylor_map, "closed_form": closed_form_map, "derivative": derivative_map,
+        "finite_n": finite_n_map, "omega": omega_map}
+
 if __name__ == "__main__":
-    taylor_map()
-    closed_form_map()
-    derivative_map()
-    finite_n_map()
+    for name in sys.argv[1:] or MAPS:
+        MAPS[name]()

@@ -13,7 +13,6 @@ from ._rootfind import newton_bracketed
 from .core import (
     BranchConstants,
     BranchId,
-    ConvergenceError,
     DomainError,
     RangeError,
     UnsupportedError,
@@ -29,6 +28,7 @@ from .core import (
     _constants_for,
     _domain_tol,
     _f,
+    _lower_log,
     as_param,
     lambert_w,
 )
@@ -328,60 +328,41 @@ def omega(a, z: float) -> float:
 
     For z < 0 returns the y != z (except at the fixed point w_min) with
     sinh(a*y)*exp(y) = sinh(a*z)*exp(z), taking the principal branch when
-    z < w_min and the lower branch otherwise.  At a = 0 this degenerates to
-    swapping the two real Lambert W branches of z*exp(z).
+    z < w_min and the lower branch otherwise.  Where a*max(|z|, 1024) <=
+    2^-27, f(a, w)/a = w*exp(w)*sinh(a*w)/(a*w) is w*exp(w) to rounding, so
+    there (a = 0 included) it swaps the real Lambert W branches of z*exp(z).
     """
     aa = _a_value(a)
     z = _check_z(z)
     if aa == 1.0:
         raise DomainError("transition function undefined at a=1: single branch only")
-    if aa == 0.0:
-        if z == -1.0:
-            return -1.0
+    bc = _constants_for(aa)
+    if z == bc.w_min:
+        return z
+    # the a -> 0 band: |z|, |y| < max(|z|, 752), (a*y)^2/6 < 2^-56, w_min = -1
+    if aa <= 2.0 ** -37 and aa * max(-z, 1024.0) <= 2.0 ** -27:
         if z < _LOG_TINY:
             # e^z is subnormal, so z*e^z loses up to 340 ulps, and below
             # z = -745 it is -0.0 and W0 returns +0.0.  (z*e^(z+64))*e^-64,
             # with z + 64 exact, is within an ulp; W0 of it is itself
             return z * math.exp(z + 64.0) * _EXP_M64
         return lambert_w(_PRINCIPAL if z < -1.0 else _LOWER, z * math.exp(z))
-    bc = _constants_for(aa)
-    if z == bc.w_min:
-        return z
     x = _f(aa, z)  # forward(aa, z): z < 0 is finite, so no check or overflow
     if z < bc.w_min:
         if abs(x) < sys.float_info.min:
-            # x is subnormal, so a|y| << 1 and f(y)/a = y*exp(y) to double
-            # precision: y = W0(x/a), x/a in log form, free of x's underflow
-            u = -math.exp((1.0 - aa) * z + math.log(-math.expm1(2.0 * aa * z) / (2.0 * aa)))
-            return lambert_w(_PRINCIPAL, u) if u < 0.0 else -0.0
+            # x is subnormal and a > 2^-37 or z < -2^10, so y = W0(x/a) and
+            # x/a < 3e-297 is its own W0; x/a in log form, free of x's underflow
+            return -math.exp((1.0 - aa) * z + math.log(-math.expm1(2.0 * aa * z) / (2.0 * aa)))
         return _solve_branch(aa, bc, _PRINCIPAL, x)
     if abs(x) < sys.float_info.min:
-        return _omega_lower_log(aa, z)
+        # |z| < 3e-297 here, so log|x/a| = log(-z) to rounding
+        return _lower_log(aa, math.log(-z))
     return _solve_branch(aa, bc, _LOWER, x)
 
 
 def _log1m_exp(u: float) -> float:
     """log(1 - exp(u)) for u < 0, accurate for u near 0 and far below it."""
     return math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
-
-
-def _omega_lower_log(a: float, z: float) -> float:
-    """Lower-branch omega for z so close to 0 that forward(a, z) is subnormal.
-
-    Solves the log form (1-a)*y + log(1 - exp(2a*y)) = log(-2*forward(a, z))
-    with the right side taken as (1-a)*z + log(2a) + log(-z), exact to
-    rounding here (|2a*z| < 1e-300) and free of underflow.  The iteration
-    y <- (rhs - log(1 - exp(2a*y)))/(1-a) starts below the root and climbs
-    to it monotonically.
-    """
-    rhs = (1.0 - a) * z + math.log(2.0 * a) + math.log(-z)
-    y = rhs / (1.0 - a)
-    for _ in range(100):
-        y_next = (rhs - _log1m_exp(2.0 * a * y)) / (1.0 - a)
-        if y_next <= y:
-            return y
-        y = y_next
-    raise ConvergenceError(f"log-domain omega did not settle at z = {z!r}")
 
 
 def _omega_13(z: float) -> float:

@@ -6,6 +6,7 @@ numeric quadrature for the transition-function integral identity."""
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -173,12 +174,16 @@ def integral_psi(a, branch: BranchId) -> float:
 
     Principal: (a + 2*f_min)/(1-a^2) - f_min*w_min;
     lower:     2*f_min/(1-a^2) - f_min*w_min.
+    Where f_min is subnormal (-0.0 at a = 5e-324) the sum is taken for
+    the integral over a, with f_min/a from w_min, and multiplied by a last.
     """
     aa = _interior_a(a)
     bc = branch_constants(aa)
-    if _is_principal(branch):
-        return (aa + 2.0 * bc.f_min) / (1.0 - aa * aa) - bc.f_min * bc.w_min
-    return 2.0 * bc.f_min / (1.0 - aa * aa) - bc.f_min * bc.w_min
+    f_min, unit = bc.f_min, 1.0
+    if f_min > -sys.float_info.min:
+        f_min, unit = -math.exp(bc.w_min) / math.sqrt((1.0 - aa) * (1.0 + aa)), aa
+    lead = aa / unit if _is_principal(branch) else 0.0
+    return ((lead + 2.0 * f_min) / (1.0 - aa * aa) - f_min * bc.w_min) * unit
 
 
 def _tanh_sinh(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -227,11 +232,16 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
 
     The square-root behavior at the branch point is removed with the
     substitution x = f_min + t^2; the lower branch additionally maps its
-    logarithmic endpoint at 0 through x = -exp(-s).
+    logarithmic endpoint at 0 through x = -exp(-s).  Raises AccuracyError
+    where [f_min, 0] holds fewer than 1/rel_tol doubles (f_min > -5e-321
+    at rel_tol = 1e-3), since psi is then sampled too coarsely.
     """
     aa = _interior_a(a)
     _check_rel_tol(rel_tol)
     fmin = branch_constants(aa).f_min
+    if -fmin < 2.0 ** -1074 / rel_tol:
+        raise AccuracyError(f"[f_min, 0] = [{fmin!r}, 0] holds too few doubles "
+                            f"to resolve rel_tol = {rel_tol!r}")
 
     def by_t(t):
         return 2.0 * t * branches.psi(aa, branch, fmin + t * t)

@@ -5,10 +5,10 @@ files, and run the self-check suites.
 All numeric logic lives in the library modules; the commands only parse
 arguments, dispatch, and serialize.  ``eval`` and ``sweep`` dispatch
 through one route table, and ``main`` is the one place where a library
-error becomes an exit code.  Floats are rendered with 17 significant
-digits so every emitted value round-trips bit-exactly.  Each verb imports
-the library modules it runs when it runs, so a process loads only what
-its verb needs.
+error or an I/O failure becomes an exit code.  Floats are rendered with
+17 significant digits so every emitted value round-trips bit-exactly.
+Each verb imports the library modules it runs when it runs, so a process
+loads only what its verb needs.
 """
 
 from __future__ import annotations
@@ -335,23 +335,18 @@ def cmd_pqdist(n_value, a_text, z, p, q, out):
         sidecar.update(a=a.a, z=z, y_omega=y, omega_bar=branches.omega_finite_n(n_value, a, z))
     dist = pqbinom.build_distribution(params)
     masses = dist.masses()
-    try:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("k,k_over_n,mass,log_coeff\n")
-            for k in range(n_value + 1):
-                fh.write(f"{k},{_fmt(k / n_value)},{_fmt(float(masses[k]))},"
-                         f"{_fmt(float(dist.log_coeffs[k]))}\n")
-        sidecar.update(p=params.p, q=params.q, peaks=list(dist.peaks),
-                       log_norm=dist.log_norm)
-        root, ext = os.path.splitext(out)
-        sidecar_path = (root + ".json") if ext.lower() == ".csv" else (out + ".json")
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {out} and {sidecar_path}")
-    except OSError as exc:  # the message names the path, so it is caught here
-        print(f"error: I/O failure for {out}: {exc}", file=sys.stderr)
-        sys.exit(1)
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("k,k_over_n,mass,log_coeff\n")
+        for k in range(n_value + 1):
+            fh.write(f"{k},{_fmt(k / n_value)},{_fmt(float(masses[k]))},"
+                     f"{_fmt(float(dist.log_coeffs[k]))}\n")
+    sidecar.update(p=params.p, q=params.q, peaks=list(dist.peaks), log_norm=dist.log_norm)
+    root, ext = os.path.splitext(out)
+    sidecar_path = (root + ".json") if ext.lower() == ".csv" else (out + ".json")
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {out} and {sidecar_path}")
 
 
 @_command("envelope", _a_arg(required=True), _FORMAT)
@@ -419,11 +414,14 @@ def main(args=None, prog_name=None):
     and p,q-binomial distribution tools."""
     argv = _attach_values(sys.argv[1:] if args is None else list(args))
     options = vars(_parser(prog_name, argv).parse_args(argv))
-    try:  # the one place a library error becomes an exit code
+    try:  # the one place a library or I/O error becomes an exit code
         main.commands[options.pop("verb")].callback(**options)
     except (core.DomainError, core.RangeError, core.AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1 if isinstance(exc, core.AccuracyError) else EXIT_DOMAIN)
+    except OSError as exc:
+        print(f"error: I/O failure for {exc.filename}: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 main.commands = _COMMANDS

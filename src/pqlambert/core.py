@@ -395,15 +395,19 @@ def _lambert_halley(x: float, w: float, lo: float = -math.inf,
     raise ConvergenceError(f"Lambert W iteration failed for x={x!r}")
 
 
-def _lambert_wm1_log(l: float) -> float:
-    """W-1 of x = -exp(l) at a subnormal x, where w*exp(w) - x cannot be
-    resolved: Newton on the log form w + log(-w) = l (Corless et al.
-    1996).  The start l - log(-l) is within 0.01 of the root for l < -708,
-    and three steps reach it to rounding."""
-    w = l - math.log(-l)
+def _lower_log(a: float, l: float) -> float:
+    """Lower-branch root y of log|f(a, y)/a| = l for 0 <= a < 1 (at a = 0,
+    W-1 of -exp(l)), where f(a, y) is subnormal and cannot be resolved:
+    Newton on the log form (1-a)*y + log(-y*xi(2a*y)) = l, xi(t) =
+    expm1(t)/t, which is w + log(-w) = l at a = 0 (Corless et al. 1996).
+    The start l - log(-l) is within 0.01 of the a = 0 root for l < -708,
+    and three steps reach the root to rounding for every a."""
+    y = l - math.log(-l)
     for _ in range(3):
-        w -= (w + math.log(-w) - l) * w / (w + 1.0)
-    return w
+        t = 2.0 * a * y
+        xi = math.expm1(t) / t if t else 1.0
+        y -= ((1.0 - a) * y + math.log(-y * xi) - l) * y / ((1.0 - a) * y + math.exp(t) / xi)
+    return y
 
 
 def lambert_w(branch: BranchId, x: float) -> float:
@@ -440,7 +444,7 @@ def lambert_w(branch: BranchId, x: float) -> float:
     if d == 0.0:
         return -1.0
     if x > -sys.float_info.min:
-        return _lambert_wm1_log(math.log(-x))
+        return _lower_log(0.0, math.log(-x))
     if d <= 0.3:
         pbp = math.sqrt(2.0 * d)
         w = -1.0 - pbp * (1.0 + pbp * (1.0 / 3.0 + pbp * 11.0 / 72.0))

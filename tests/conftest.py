@@ -81,6 +81,38 @@ def mp_branch_root(a, x, w0):
     raise RuntimeError(f"reference Newton did not converge at a={a!r}, x={x!r}")
 
 
+def mp_omega_root(a, z):
+    """Reference omega(a, z) for exact binary a and z: at 60 digits, more
+    by the digits of |z|, the root y != z of the log form
+    (1-a)*y + log(-expm1(2a*y)) = (1-a)*z + log(-expm1(2a*z)) of
+    f(a, y) = f(a, z), bracketed in s = log(-y) on the far side of
+    w_min = (log1p(-a) - log1p(a))/(2a).  (log((1-a)/(1+a))/(2a) would
+    give w_min = 0 at a subnormal a, where 1 - a rounds to 1.)  The far
+    end of each bracket lies past the root by the bounds
+    log(-2f(y)) <= log(-2a*y) (principal) and <= (1-a)*y (lower).  At
+    a = 0 it is the W0 <-> W-1 swap of z*exp(z).  A root that underflows
+    in double keeps its 60 digits."""
+    import mpmath as mp
+
+    zm = mp.mpf(z)
+    with mp.workdps(60 + int(mp.log10(1 - zm))):
+        if a == 0.0:
+            return +mp.lambertw(zm * mp.exp(zm), 0 if z < -1.0 else -1).real
+        am = mp.mpf(a)
+        w_min = (mp.log1p(-am) - mp.log1p(am)) / (2 * am)
+
+        def log_form(y):
+            return (1 - am) * y + mp.log(-mp.expm1(2 * am * y))
+
+        rhs = log_form(zm)
+        if zm < w_min:
+            bracket = (rhs - mp.log(2 * am) - 1, mp.log(-w_min))
+        else:
+            bracket = (mp.log(-w_min), mp.log(1 - rhs / (1 - am)))
+        s = mp.findroot(lambda s: log_form(-mp.exp(s)) - rhs, bracket, solver="anderson")
+        return -mp.exp(s)
+
+
 def mp_finite_n_root(n, a, z):
     """Reference root y != z of p^(n-k+1) - p^k = q^(n-k+1) - q^k, with
     p = 1 + 2y/n, q = 1 + 2z/n and k = round(n(1-a)/2), for exact binary

@@ -9,7 +9,8 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import geometric_grid, linear_grid, mp_branch_root, mp_finite_n_root
+from conftest import (geometric_grid, linear_grid, mp_branch_root, mp_finite_n_root,
+                      mp_omega_root)
 from pqlambert import core
 from pqlambert.calculus import psi_derivative, psi_primitive
 from pqlambert.core import (
@@ -426,6 +427,25 @@ class TestOmega:
         ref = -mp50.exp(s)
         assert math.copysign(1.0, value) == -1.0
         assert abs(value - ref) <= 2.0 * math.ulp(value) + 4.0 * abs(ref) * math.ulp(z)
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-323, 1e-320, 1e-310, 1e-300, 1e-200, 2.0 ** -37])
+    def test_tiny_a_is_the_zero_a_swap(self, a):
+        # where a*max(|z|, 1024) <= 2^-27, f(a, w)/a is w*exp(w) to rounding,
+        # so omega(a, z) is omega(0, z) bit for bit.  Near z = -1 that value
+        # carries the branch point's own loss (480 ulps at z = -0.999), so
+        # the comparison is with omega(0, z), not with a 60-digit root
+        for z in (-0.5, -0.9, -0.99, -0.999, -1.01, -1.1, -3.0, -30.0, -715.0, -740.0,
+                  -1e-310):
+            if a * max(-z, 1024.0) <= 2.0 ** -27:
+                assert repr(omega(a, z)) == repr(omega(0.0, z)), z
+
+    @pytest.mark.parametrize("a", [1e-11, 0.05, 0.37, 0.9, 1.0 - 1e-6])
+    @pytest.mark.parametrize("z", [-5e-324, -1e-320, -1e-310, -1e-300])
+    def test_lower_underflow_end_against_60_digits(self, a, z):
+        # forward(a, z) is subnormal or zero: the log-form solver's result
+        # is within 2 ulps of the 60-digit root
+        value = omega(a, z)
+        assert abs(value - mp_omega_root(a, z)) <= 2.0 * math.ulp(value)
 
 
 class TestOmegaClosedForm:

@@ -197,6 +197,18 @@ class TestSweep:
                                    "--hi", "-1"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("verb", [
+        ["sweep", "W0", "--lo", "-0.3", "--hi", "1", "--count", "3"],
+        ["pqdist", "--n", "8", "--a", "0.5", "--z", "-1"]])
+    def test_out_in_a_missing_directory(self, runner, tmp_path, verb):
+        # main's error boundary turns the OSError into one line naming the
+        # path, the same for both verbs that write files
+        out = str(tmp_path / "missing" / "s.csv")
+        res = runner.invoke(main, verb + ["--out", out])
+        assert res.exit_code == 1
+        assert res.stderr.startswith(f"error: I/O failure for {out}: [Errno 2] ")
+        assert res.stderr.count("\n") == 1
+
 
 class TestSeriesVerb:
     def test_taylor_coefficients(self, runner):

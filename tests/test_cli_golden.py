@@ -127,6 +127,7 @@ COMMANDS = [
     "integrate --a 1/2 --target psi0", "integrate --a 1/2 --target psi1 --format json",
     "integrate --a 0 --target omega", "integrate --a 1e-300 --target psi0",
     "integrate --a 1e-300 --target psi1", "integrate --a 1e-290 --target psi1",
+    "integrate --a 5e-324", "integrate --a 1e-320 --rel-tol 1e-3",
     "integrate --a 1", "integrate --a 0 --target psi0", "integrate --a 1/0",
     "integrate --a 0.5 --rel-tol 1", "integrate --a 0.5 --target psi0 --rel-tol 1e-12",
     "integrate --a 0.5 --target psi1 --rel-tol 0.01",

@@ -25,6 +25,7 @@ from pqlambert.core import (
     lambert_w,
     special_point,
 )
+from pqlambert.core import _lower_log
 
 P, LO = BranchId.PRINCIPAL, BranchId.LOWER
 
@@ -447,6 +448,22 @@ class TestLambertW:
             ref = mp50.lambertw(mp50.mpf(x), -1).real
             assert abs(w - ref) <= 2.0 * math.ulp(w), x
         assert lambert_w(LO, -1e-320) == -743.4385269728546
+
+    def test_lower_log_three_steps_reach_the_root(self):
+        # the log-form Newton of the lower branch's underflow end: 17 more
+        # steps after its 3 move the result by at most 2 ulps, at a = 0
+        # (lambert_w) and across 0 < a < 1 (omega)
+        rng = random.Random(7)
+        lo, hi = math.log(5e-324), math.log(sys.float_info.min)
+        for i in range(2000):
+            a = (0.0, rng.random(), 10.0 ** rng.uniform(-20.0, 0.0) * (1.0 - 1e-6))[i % 3]
+            l = rng.uniform(lo, hi)
+            y3 = y = _lower_log(a, l)
+            for _ in range(17):
+                t = 2.0 * a * y
+                xi = math.expm1(t) / t if t else 1.0
+                y -= ((1.0 - a) * y + math.log(-y * xi) - l) * y / ((1.0 - a) * y + math.exp(t) / xi)
+            assert abs(y3 - y) <= 2.0 * math.ulp(y), (a, l)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
