@@ -6,10 +6,7 @@ root, and worst relative error of omega_finite_n beyond its input
 conditioning.
 
 Usage:
-    PYTHONPATH=src python scripts/ulp_map.py [MAP ...]
-
-MAP is any of taylor, closed_form, derivative, finite_n and omega; all
-run when none is named.
+    PYTHONPATH=src python scripts/ulp_map.py
 
 Each line gives the function, the region, the number of points, the worst
 error in ulps of the reference value rounded to a double, and the input
@@ -178,9 +175,9 @@ def omega_map() -> None:
             report("omega", f"a={a} {region}", rows)
 
 
-MAPS = {"taylor": taylor_map, "closed_form": closed_form_map, "derivative": derivative_map,
-        "finite_n": finite_n_map, "omega": omega_map}
-
 if __name__ == "__main__":
-    for name in sys.argv[1:] or MAPS:
-        MAPS[name]()
+    taylor_map()
+    closed_form_map()
+    derivative_map()
+    finite_n_map()
+    omega_map()

@@ -36,6 +36,10 @@ DERIVATIVE_ORDER_MAX = 8
 _TS_T_MAX = 4.0   # tanh-sinh nodes beyond t = 4 lie within 1e-37*r of an endpoint
 _TS_LEVELS = 10   # finest step 2^-10: at most 8193 nodes per integral
 _S_UNDERFLOW = 1074.0 * math.log(2.0)  # exp(-s) is the least subnormal here
+# integral_psi_quadrature needs N >= this/rel_tol doubles in [f_min, 0]: over
+# rel_tol in [1e-10, 1e-3] it measured up to 56/N off (3.6/N principal), at
+# most 0.21*rel_tol from this cutoff up (0.63*rel_tol from 64/rel_tol up).
+_QUAD_MIN_DOUBLES = 128.0
 
 
 class PnPolynomial(NamedTuple):
@@ -233,13 +237,13 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     The square-root behavior at the branch point is removed with the
     substitution x = f_min + t^2; the lower branch additionally maps its
     logarithmic endpoint at 0 through x = -exp(-s).  Raises AccuracyError
-    where [f_min, 0] holds fewer than 1/rel_tol doubles (f_min > -5e-321
-    at rel_tol = 1e-3), since psi is then sampled too coarsely.
+    where [f_min, 0] holds fewer than _QUAD_MIN_DOUBLES/rel_tol doubles
+    (f_min > -6.3e-319 at rel_tol = 1e-3): psi is sampled too coarsely.
     """
     aa = _interior_a(a)
     _check_rel_tol(rel_tol)
     fmin = branch_constants(aa).f_min
-    if -fmin < 2.0 ** -1074 / rel_tol:
+    if -fmin < _QUAD_MIN_DOUBLES * 2.0 ** -1074 / rel_tol:
         raise AccuracyError(f"[f_min, 0] = [{fmin!r}, 0] holds too few doubles "
                             f"to resolve rel_tol = {rel_tol!r}")
 

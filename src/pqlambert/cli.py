@@ -419,8 +419,9 @@ def main(args=None, prog_name=None):
     except (core.DomainError, core.RangeError, core.AccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1 if isinstance(exc, core.AccuracyError) else EXIT_DOMAIN)
-    except OSError as exc:
-        print(f"error: I/O failure for {exc.filename}: {exc}", file=sys.stderr)
+    except OSError as exc:  # a failed write or close names no file
+        where = exc.filename or options.get("out") or "stdout"
+        print(f"error: I/O failure for {where}: {exc}", file=sys.stderr)
         sys.exit(1)
 
 

@@ -24,6 +24,7 @@ from pqlambert.core import (
 )
 from pqlambert.branches import psi
 from pqlambert.calculus import (
+    _QUAD_MIN_DOUBLES,
     _tanh_sinh,
     integral_omega,
     integral_omega_quadrature,
@@ -281,25 +282,41 @@ class TestIntegralPsi:
         # the lower range in s = -log(-x) ends before -exp(-s) underflows
         for branch in (P, LO):
             closed = integral_psi(a, branch)
-            assert integral_psi_quadrature(a, branch, 1e-6) == pytest.approx(closed, rel=1e-6)
+            assert integral_psi_quadrature(a, branch, 1e-6) == pytest.approx(closed, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize("a", [5e-324, 1e-323, 1e-320, 1e-310])
     def test_subnormal_f_min(self, a):
         # f_min = -a/e rounds into the subnormal range (to -0.0 at 5e-324).
         # The closed form is a*(1 - 3/e) and a*(-3/e) to one unit of
-        # 2^-1074, never positive.  The quadrature needs 1/rel_tol doubles in
-        # [f_min, 0]: with fewer it raises AccuracyError, else it agrees
+        # 2^-1074, never positive.  The quadrature needs _QUAD_MIN_DOUBLES/
+        # rel_tol doubles in [f_min, 0]: with fewer it raises AccuracyError,
+        # else it agrees to rel_tol
         for branch, unit_value in ((P, 1.0 - 3.0 / math.e), (LO, -3.0 / math.e)):
             closed = integral_psi(a, branch)
             assert closed <= 0.0 and math.copysign(1.0, closed) == -1.0
             assert abs(closed - a * unit_value) <= 2.0 ** -1074
             for rel_tol in (1e-3, 1e-9):
-                if -branch_constants(a).f_min < 2.0 ** -1074 / rel_tol:
+                if -branch_constants(a).f_min < _QUAD_MIN_DOUBLES * 2.0 ** -1074 / rel_tol:
                     with pytest.raises(AccuracyError):
                         integral_psi_quadrature(a, branch, rel_tol)
                 else:
                     quadv = integral_psi_quadrature(a, branch, rel_tol)
-                    assert quadv == pytest.approx(closed, rel=max(rel_tol, 1e-6))
+                    assert quadv == pytest.approx(closed, rel=rel_tol, abs=0.0)
+
+    @pytest.mark.parametrize("rel_tol", [1e-3, 1e-6, 1e-9, 1e-10])
+    def test_quadrature_cutoff(self, rel_tol):
+        # just below the cutoff the quadrature raises; from it up to twice
+        # it, where psi's subnormal grid costs the most, it meets rel_tol.
+        # abs=0: approx's default absolute 1e-12 would pass any subnormal
+        cutoff = _QUAD_MIN_DOUBLES * 2.0 ** -1074 / rel_tol  # least -f_min
+        for branch in (P, LO):
+            with pytest.raises(AccuracyError):
+                integral_psi_quadrature(math.e * cutoff * 0.99, branch, rel_tol)
+            for i in range(16):
+                a = math.e * cutoff * 2.0 ** (i / 16)
+                assert -branch_constants(a).f_min >= cutoff
+                quadv = integral_psi_quadrature(a, branch, rel_tol)
+                assert quadv == pytest.approx(integral_psi(a, branch), rel=rel_tol, abs=0.0)
 
     @pytest.mark.parametrize("a", [0.15, 0.35, 0.5, 0.7, 0.9])
     def test_quadrature_agreement(self, a):

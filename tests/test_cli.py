@@ -14,6 +14,7 @@ from typing import NamedTuple
 import pytest
 
 import pqlambert.branches
+import pqlambert.cli
 from pqlambert.cli import main
 from pqlambert.core import AsymmetryParam, BranchId, lambert_w
 from pqlambert.branches import omega, psi
@@ -208,6 +209,21 @@ class TestSweep:
         assert res.exit_code == 1
         assert res.stderr.startswith(f"error: I/O failure for {out}: [Errno 2] ")
         assert res.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("out", [True, False])
+    def test_write_failure_without_a_filename(self, runner, tmp_path, monkeypatch, out):
+        # an OSError from write or close carries no filename: the message
+        # names the --out path, or stdout where there is none
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pqlambert.cli, "_emit_records", fail)
+        path = str(tmp_path / "s.csv")
+        res = runner.invoke(main, ["sweep", "W0", "--lo", "-0.3", "--hi", "1", "--count", "3"]
+                            + (["--out", path] if out else []))
+        assert res.exit_code == 1
+        where = path if out else "stdout"
+        assert res.stderr == f"error: I/O failure for {where}: [Errno 28] No space left on device\n"
 
 
 class TestSeriesVerb:
