@@ -2,8 +2,10 @@
 """Worst error in ulps, per region, of psi_derivative, taylor_at_zero and
 the closed-form branches against the 50-digit mpmath oracle of bench/,
 of omega at its a -> 0 band and both underflow ends against a 60-digit
-root, and worst relative error of omega_finite_n beyond its input
-conditioning.
+root, of psi at its far ends (subnormal x or a, roots where f or f'
+overflows) against a 60-digit root, of lambert_w near its branch point
+-1/e against mpmath's, and worst relative error of omega_finite_n beyond
+its input conditioning.
 
 Usage:
     PYTHONPATH=src python scripts/ulp_map.py
@@ -17,6 +19,8 @@ omega_finite_n the worst value is max(0, |y - ref| - 16*|dy/dz|*ulp(z))/|ref|
 equation in tests/conftest.py.  omega's reference is mp_omega_root there:
 the root of the log form of f(a, y) = f(a, z), with w_min taken as
 (log1p(-a) - log1p(a))/(2a), so that it holds at a subnormal a too.
+psi's far-end reference is mp_psi_root there, a root of the log form
+bracketed without any library seed.
 """
 
 import math
@@ -27,10 +31,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import oracle  # noqa: E402
-from conftest import geometric_grid, mp_finite_n_root, mp_omega_root  # noqa: E402
+from conftest import geometric_grid, mp_finite_n_root, mp_omega_root, mp_psi_root  # noqa: E402
 
-from pqlambert import AsymmetryParam, BranchId, branch_constants  # noqa: E402
-from pqlambert.branches import omega, omega_finite_n, psi_closed_form  # noqa: E402
+from pqlambert import AsymmetryParam, BranchId, branch_constants, lambert_w  # noqa: E402
+from pqlambert.branches import omega, omega_finite_n, psi, psi_closed_form  # noqa: E402
 from pqlambert.calculus import psi_derivative  # noqa: E402
 from pqlambert.series import taylor_at_zero  # noqa: E402
 
@@ -175,9 +179,54 @@ def omega_map() -> None:
             report("omega", f"a={a} {region}", rows)
 
 
+def psi_far_map() -> None:
+    """The grid of tests/test_branches.py::TestFarEnds: subnormal and tiny
+    |x|, and x from 0.3 up to the largest double, at a from 5e-324 to
+    1 - 2^-52, less x within 1e-3 relative of f_min."""
+    big = sys.float_info.max
+    xs = ([s * m for m in (5e-324, 1e-315, 1e-310, 1e-300, 1e-100, 1e-12) for s in (1.0, -1.0)]
+          + [0.3, 1e20, 1e300, big / 2.0, big])
+    for a in (5e-324, 1e-310, 1e-300, 1e-100, 1e-12, 1e-8, 1e-4, 1e-3, 0.37, 0.9999,
+              1.0 - 2.0 ** -52):
+        f_min = branch_constants(a).f_min
+        for branch in (BranchId.PRINCIPAL, BranchId.LOWER):
+            rows = {}
+            for x in xs:
+                if x < f_min or (branch is BranchId.LOWER and x >= 0.0) \
+                        or abs(x - f_min) <= 1e-3 * abs(f_min):
+                    continue
+                region = ("|x| subnormal" if abs(x) < sys.float_info.min else
+                          "|x| normal <= 1e-12" if abs(x) <= 1e-12 else "x >= 0.3")
+                ref = mp_psi_root(a, branch is BranchId.PRINCIPAL, x)
+                try:
+                    err = ulps(psi(a, branch, x), ref)
+                except ArithmeticError:
+                    err = None
+                rows.setdefault(region, []).append((x, err))
+            for region, region_rows in rows.items():
+                report("psi", f"a={a} {branch.value} {region}", region_rows)
+
+
+def lambert_map() -> None:
+    """x + 1/e from 1e-16 to 1e-2 on both branches, by decade band."""
+    import mpmath
+
+    inv_e = mpmath.exp(-1)
+    for branch, k in ((BranchId.PRINCIPAL, 0), (BranchId.LOWER, -1)):
+        for lo, hi in ((1e-16, 1e-12), (1e-12, 1e-8), (1e-8, 1e-6), (1e-6, 1e-4),
+                       (1e-4, 1e-3), (1e-3, 1e-2)):
+            rows = []
+            for u in geometric_grid(lo, hi, 60):
+                x = float(u - inv_e)
+                rows.append((x, ulps(lambert_w(branch, x), mpmath.lambertw(x, k).real)))
+            report("lambert_w", f"{branch.value} {lo:g} <= x + 1/e <= {hi:g}", rows)
+
+
 if __name__ == "__main__":
     taylor_map()
     closed_form_map()
     derivative_map()
     finite_n_map()
     omega_map()
+    psi_far_map()
+    lambert_map()

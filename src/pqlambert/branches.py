@@ -14,7 +14,6 @@ from .core import (
     BranchConstants,
     BranchId,
     DomainError,
-    RangeError,
     UnsupportedError,
     _BAND,
     _LN2,
@@ -28,6 +27,7 @@ from .core import (
     _constants_for,
     _domain_tol,
     _f,
+    _log_form,
     _lower_log,
     as_param,
     lambert_w,
@@ -45,6 +45,9 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_TINY = sys.float_info.min  # the least normal double
+_HALF_MAX = 0.5 * sys.float_info.max
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # hi has 32 zero bits
 
 
 class ClosedFormTag(enum.Enum):
@@ -107,22 +110,62 @@ def _asym1_seed(a: float, x: float) -> float:
             + (10.0 * a * a + 7.0 * a + 1.0) * z ** 3 / (3.0 * am1 ** 3))
 
 
+def _far_root(a: float, bc: BranchConstants, branch: BranchId, x: float) -> float:
+    """Branch value where the residual f(w) - x of _solve_branch cannot resolve
+    w: x or a subnormal, f or f' overflowing near the root.  f(a, y)/a =
+    y*e^((1-a)y)*xi(2a*y), xi(t) = expm1(t)/t, keeps every bit of a subnormal
+    2a*y.  Principal roots with x/a < 1 solve f/a = x/a, from y = x/a; every
+    other root solves the log form log|f/a| = l (core._log_form), with
+    l = log|x/a| formed from the binary exponents of x and a."""
+    u = x / a
+    if branch is _PRINCIPAL and u < 1.0:
+        def g(y):
+            t = 2.0 * a * y
+            xi = math.expm1(t) / t if t else 1.0
+            e = math.exp((1.0 - a) * y)
+            return y * e * xi - u, e * ((1.0 + a) * y * xi + 1.0)
+
+        # y < f(y)/a for y > 0 and for w_min < y < 0, so the root lies
+        # between u and 0 or w_min; at x = +-0, g(u) = 0 returns x itself,
+        # sign included (an underflowed -0.0)
+        lo, hi = (0.0, u) if u > 0.0 else (bc.w_min, u)
+        return newton_bracketed(g, lo, hi, u, increasing=True)
+    mx, ex = math.frexp(abs(x))
+    ma, ea = math.frexp(a)
+    k = ex - ea  # k*_LN2_HI is exact
+    l = k * _LN2_HI + (k * _LN2_LO + math.log(mx / ma))
+
+    def h(y):
+        r, yr = _log_form(a, l, y)
+        return r, yr / y
+
+    # bounds from expm1(t)/(2a) < e^t/(2a) (principal) and 1/(2a) (lower),
+    # from xi(t) >= e^(t/2) (principal), and f(a, 0.5)/a < 1 <= x/a
+    lo = l + math.log(2.0 * a)
+    if branch is _PRINCIPAL:
+        lo /= 1.0 + a  # the root to rounding for large t
+        seed = l - math.log1p(l)  # below W0(e^l), the root at t = 0
+        return newton_bracketed(h, max(lo, 0.5), max(l, 1.0),
+                                seed if 2.0 * a * seed <= 1.0 else lo, increasing=True)
+    return newton_bracketed(h, lo / (1.0 - a), bc.w_min, l - math.log(-l), increasing=True)
+
+
 def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> float:
     """Branch value at a validated x for 0 < a < 1, given the constants bc of a."""
     fmin, wmin, scale = bc
     if x - fmin <= _BAND * abs(fmin):  # _domain_tol(fmin), without its frame
         return wmin
+    if abs(x) < _TINY or a < _TINY:
+        return _far_root(a, bc, branch, x)
 
     def g(w):
         e = math.exp((1.0 - a) * w)
         s = math.expm1(2.0 * a * w)
         return 0.5 * e * s - x, 0.5 * e * ((1.0 + a) * s + 2.0 * a)
 
-    t = (x - fmin) / scale if scale else math.inf  # in [0, 1/(1-a^2)); scale is 0 at subnormal a
+    t = (x - fmin) / scale  # in [0, 1/(1-a^2))
     t_max = 1.0 / ((1.0 - a) * (1.0 + a))
     if branch is _PRINCIPAL:
-        if x == 0.0:
-            return x  # keeps the sign of an underflowed -0.0
         if x < 0.0:
             if t <= 0.6 * t_max:
                 seed = _bp_seed(bc, t, 1.0, a)
@@ -132,6 +175,8 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
                 seed = u - u * u + (9.0 - a * a) * u ** 3 / 6.0
             return newton_bracketed(g, wmin, 0.0, seed, increasing=True)
         if x >= 10.0:
+            if x > _HALF_MAX:  # f'(w) = (1+a)x + ... overflows near the root
+                return _far_root(a, bc, branch, x)
             seed = _asym0_seed(a, x)
         elif t <= 0.6 * t_max:
             seed = _bp_seed(bc, t, 1.0, a)
@@ -145,7 +190,7 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
         step = 1.0
         while _f(a, hi) < x:
             if hi == w_cap:
-                raise RangeError(f"psi({x!r}) lies beyond w = {w_cap!r}, where f overflows")
+                return _far_root(a, bc, branch, x)
             hi = min(hi + step, w_cap)
             step *= 2.0
         return newton_bracketed(g, 0.0, hi, seed, increasing=True)

@@ -162,7 +162,9 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     if x == 0.0:
         return aa / one_m
     psiv = branches.psi(aa, branch, x)
-    value = x * psiv - x / one_m + aa * (x / math.tanh(aa * psiv)) / one_m
+    # at a subnormal a, a*psi keeps a few bits (or is 0): take the a -> 0 limit x/psi
+    coth_term = x / psiv if aa < sys.float_info.min else aa * (x / math.tanh(aa * psiv))
+    value = x * psiv - x / one_m + coth_term / one_m
     if math.isfinite(value):
         return value
     t = -2.0 * aa * psiv  # only x >> 1 gets here, so psi > 0 and t < 0

@@ -395,29 +395,78 @@ def _lambert_halley(x: float, w: float, lo: float = -math.inf,
     raise ConvergenceError(f"Lambert W iteration failed for x={x!r}")
 
 
+def _log_form(a: float, l: float, y: float) -> tuple[float, float]:
+    """h(y) = (1-a)*y + log|y*xi(2a*y)| - l and y*h'(y) = (1-a)*y + e^t/xi(t),
+    t = 2a*y, xi(t) = expm1(t)/t: the log form log|f(a, y)/a| = l of either
+    branch, resolved where f(a, y) is subnormal or overflows; at a = 0 it is
+    w + log|w| = l (Corless et al. 1996).  h is increasing and concave on
+    each branch.  Above t = 1, log|y*xi| is t + log1p(-e^-t) - log(2a) and
+    e^t/xi is t/(1 - e^-t), so no term overflows, and (1-a)*y + t is
+    y + t/2, whose y - l is exact near the root."""
+    t = 2.0 * a * y
+    if t > 1.0:
+        return (y - l + 0.5 * t - math.log(2.0 * a) + math.log1p(-math.exp(-t)),
+                (1.0 - a) * y + t / -math.expm1(-t))
+    xi = math.expm1(t) / t if t else 1.0
+    return (1.0 - a) * y + math.log(abs(y * xi)) - l, (1.0 - a) * y + math.exp(t) / xi
+
+
 def _lower_log(a: float, l: float) -> float:
-    """Lower-branch root y of log|f(a, y)/a| = l for 0 <= a < 1 (at a = 0,
-    W-1 of -exp(l)), where f(a, y) is subnormal and cannot be resolved:
-    Newton on the log form (1-a)*y + log(-y*xi(2a*y)) = l, xi(t) =
-    expm1(t)/t, which is w + log(-w) = l at a = 0 (Corless et al. 1996).
-    The start l - log(-l) is within 0.01 of the a = 0 root for l < -708,
-    and three steps reach the root to rounding for every a."""
+    """Lower-branch root of the log form h(y) = 0 (_log_form) for 0 <= a < 1
+    and l < -708 (at a = 0, W-1 of -exp(l)), where f(a, y) is subnormal:
+    the start l - log(-l) is within 0.01 of the a = 0 root, and three Newton
+    steps reach the root to rounding for every a."""
     y = l - math.log(-l)
     for _ in range(3):
-        t = 2.0 * a * y
-        xi = math.expm1(t) / t if t else 1.0
-        y -= ((1.0 - a) * y + math.log(-y * xi) - l) * y / ((1.0 - a) * y + math.exp(t) / xi)
+        h, yh = _log_form(a, l, y)
+        y -= h * y / yh
     return y
+
+
+# 1/e - INV_E: INV_E + _E_LO is 1/e to about 2^-106
+_E_LO = -1.2428753672788363e-17
+# R(y) = y*e^y - expm1(y) = y^2 * sum_{k>=2} (k-1)/k! * y^(k-2): Horner
+# coefficients, highest first; the first term left out is 2e-21 relative at |y| = 0.076
+_R_SERIES = tuple((k - 1) / math.factorial(k) for k in range(12, 1, -1))
+# w + 1 = q - q^2/3 + 11q^3/72 - ... with q = +-sqrt(2(e*x + 1)) (Corless et
+# al. 1996, section 4), highest first: 5e-12 relative at e*x + 1 = _D_NEAR
+_W_BRANCH_SERIES = (-1963 / 204120, 680863 / 43545600, -221 / 8505, 769 / 17280,
+                    -43 / 540, 11 / 72, -1 / 3, 1.0)
+_D_NEAR = math.e * 1e-3  # e*x + 1 up to which lambert_w takes _lambert_near
+
+
+def _lambert_near(principal: bool, x: float) -> float:
+    """W(x) within 1e-3 of the branch point -1/e.  With y = w + 1, w*e^w = x
+    reads R(y) = y*e^y - expm1(y) = D, where D = e*(x + 1/e) is formed as
+    ((x + INV_E) + _E_LO)*e, x + INV_E exact by Sterbenz's lemma, and R is
+    summed as its series: neither side cancels, so y keeps its relative
+    accuracy as it goes to 0.  The branch-point series in q = +-sqrt(2D) is
+    within 5.4e-12 relative of y here (|y| < 0.076), so one Newton step,
+    R'(y) = y*e^y, leaves an error near 1e-24."""
+    d = ((x + INV_E) + _E_LO) * math.e
+    if d <= 0.0:
+        return -1.0
+    q = math.sqrt(2.0 * d) if principal else -math.sqrt(2.0 * d)
+    y = 0.0
+    for c in _W_BRANCH_SERIES:
+        y = y * q + c
+    y *= q
+    r = 0.0
+    for c in _R_SERIES:
+        r = r * y + c
+    return y - (y * y * r - d) / (y * math.exp(y)) - 1.0
 
 
 def lambert_w(branch: BranchId, x: float) -> float:
     """Real Lambert W: solves w*exp(w) = x.
 
     PRINCIPAL covers x >= -1/e with w >= -1; LOWER covers -1/e <= x < 0
-    with w <= -1.  Halley iteration from a piecewise initial guess: a
-    square-root expansion near the branch point -1/e, a rational guess for
-    moderate x, and log(x) - log(log(x)) style asymptotics otherwise.  At
-    a subnormal x the lower branch solves its log form instead.
+    with w <= -1.  Within 1e-3 of the branch point -1/e, one Newton step
+    on an error-free form of w*e^w = x (_lambert_near).  Elsewhere Halley
+    iteration from a piecewise initial guess: a square-root expansion near
+    the branch point, a rational guess for moderate x, and
+    log(x) - log(log(x)) style asymptotics otherwise.  At a subnormal x the
+    lower branch solves its log form instead.
     """
     x = _finite("x", x)
     # d = e*x + 1 measures the distance to the branch point in natural units
@@ -426,6 +475,8 @@ def lambert_w(branch: BranchId, x: float) -> float:
         if d < -32.0 * _EPS:
             raise DomainError(f"x = {x!r} below the branch point -1/e")
         d = 0.0
+    if d <= _D_NEAR:
+        return _lambert_near(_is_principal(branch), x)
     if _is_principal(branch):
         if x == 0.0:
             return 0.0
@@ -441,8 +492,6 @@ def lambert_w(branch: BranchId, x: float) -> float:
         return _lambert_halley(x, max(w, -1.0), lo=-1.0)
     if x >= 0.0:
         raise DomainError(f"lower branch requires -1/e <= x < 0, got {x!r}")
-    if d == 0.0:
-        return -1.0
     if x > -sys.float_info.min:
         return _lower_log(0.0, math.log(-x))
     if d <= 0.3:

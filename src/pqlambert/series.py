@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
 
 from . import _LAZY
@@ -28,6 +29,8 @@ from .core import (
 )
 
 __all__ = list(_LAZY["series"])
+
+_LOG_TINY = math.log(sys.float_info.min)  # exp(t) is subnormal below this
 
 TAYLOR_ORDER_MAX = 40   # double precision is exhausted well before this
 BRANCH_POINT_ORDER_MAX = 12
@@ -204,6 +207,8 @@ def _local_coeffs(a: float, w: float, n: int) -> tuple[float, list]:
         bk *= base
         fact *= k
         r.append(bk * math.expm1(sgn * (k * lr + tw)) / (fact * e1))
+    if -log_pre < _LOG_TINY:  # exp(-log_pre) underflows; 1/c_1 may not (tiny a)
+        return math.copysign(math.exp(-log_pre - math.log(0.5 * base * abs(e1))), sgn * e1), r
     return sgn * 2.0 * math.exp(-log_pre) / (base * e1), r
 
 
@@ -318,14 +323,21 @@ def asymptotic_psi0(a, x: float, terms: int = 3) -> float:
     log(2x)/(1+a) plus a truncated series in Y = (2x)^(-2a/(1+a)) whose
     coefficients come from the reversion of exp(2a*t) - exp((a-1)*t);
     the first three are 1/(1+a), (1-3a)/(2(1+a)^2), (10a^2-7a+1)/(3(1+a)^3).
-    Intended for x >= 10; accuracy simply degrades below that.
+    Intended for x >= 10; accuracy simply degrades below that.  Raises
+    RangeError where Y or the truncated sum leaves the double range (tiny x).
     """
     aa = _interior_a(a)
     x = _real("x", x)
     if not 0.0 < x < math.inf:
         raise DomainError(f"requires finite x > 0, got {x!r}")
-    log_2x, y = _log_pow_2x(x, -2.0 * aa / (1.0 + aa))
-    return log_2x / (1.0 + aa) + _horner(asymptotic_tail_coeffs(aa, "psi0", terms), y)
+    try:
+        log_2x, y = _log_pow_2x(x, -2.0 * aa / (1.0 + aa))
+        value = log_2x / (1.0 + aa) + _horner(asymptotic_tail_coeffs(aa, "psi0", terms), y)
+    except OverflowError:  # (2x)**c
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"the expansion at x = {x!r} leaves the double range")
+    return value
 
 
 def asymptotic_psi1(a, x: float, terms: int = 3) -> float:

@@ -81,6 +81,45 @@ def mp_branch_root(a, x, w0):
     raise RuntimeError(f"reference Newton did not converge at a={a!r}, x={x!r}")
 
 
+def mp_psi_root(a, principal, x):
+    """Reference root of sinh(a*w)*exp(w) = x on one branch, for exact
+    binary a and x, to about 60 digits, free of any library seed: the log
+    form log|sinh(a*w)| + w = log|x|, monotone in s = log|w|, is bisected
+    in s (40 halvings of a bracket that holds every root of a double x)
+    and polished by Newton steps in s."""
+    import mpmath as mp
+
+    with mp.workdps(85):
+        am, lx = mp.mpf(a), mp.log(abs(mp.mpf(x)))
+        w_min = (mp.log1p(-am) - mp.log1p(am)) / (2 * am)
+        if principal and x > 0:
+            sign, lo, hi = 1, mp.mpf(-800), mp.mpf(8)
+        elif principal:
+            sign, lo, hi = -1, mp.mpf(-800), mp.log(-w_min)
+        else:
+            sign, lo, hi = -1, mp.log(-w_min), mp.mpf(60)
+
+        def excess(s):
+            y = sign * mp.exp(s)
+            return mp.log(abs(mp.sinh(am * y))) + y - lx
+
+        lo_positive = excess(lo) > 0
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if (excess(mid) > 0) == lo_positive:
+                lo = mid
+            else:
+                hi = mid
+        s = (lo + hi) / 2
+        for _ in range(100):
+            y = sign * mp.exp(s)
+            step = excess(s) / ((am / mp.tanh(am * y) + 1) * y)
+            s -= step
+            if abs(step) < mp.mpf(10) ** -70:
+                return sign * mp.exp(s)
+    raise RuntimeError(f"reference Newton did not converge at a={a!r}, x={x!r}")
+
+
 def mp_omega_root(a, z):
     """Reference omega(a, z) for exact binary a and z: at 60 digits, more
     by the digits of |z|, the root y != z of the log form

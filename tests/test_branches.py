@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (geometric_grid, linear_grid, mp_branch_root, mp_finite_n_root,
-                      mp_omega_root)
+                      mp_omega_root, mp_psi_root)
 from pqlambert import core
 from pqlambert.calculus import psi_derivative, psi_primitive
 from pqlambert.core import (
@@ -150,28 +150,24 @@ class TestTinyAAndTopOfRange:
 
     @pytest.mark.parametrize("a", [5e-324, 1e-323])
     def test_subnormal_a(self, a, mp50):
-        # at a = 5e-324 the branch-point scale f_min*(a^2-1) is 0, and the
-        # branch-point coordinate (x - f_min)/scale divided by it
-        value = psi(a, P, 1e-300)
-        ref = mp_branch_root(a, 1e-300, value)
-        # 2a*w is subnormal, so f carries a relative error up to 2^-1074/(2a*w)
-        assert abs(value - float(ref)) <= 1e-2
+        # at a = 5e-324 the branch-point scale f_min*(a^2-1) is 0, and 2a*w
+        # keeps one or two bits: psi solves f/a = w*e^w*xi(2aw) in log form
+        for x in (1e-300, 0.5):
+            value = psi(a, P, x)
+            ref = mp_branch_root(a, x, value)
+            assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
         assert math.isfinite(psi_derivative(a, P, 1e-300, 1))
         assert math.isfinite(psi_primitive(a, P, 1e-300))
-        with pytest.raises(RangeError):
-            psi(a, P, 0.5)  # past w_cap, as at a = 1e-320
 
-    def test_root_beyond_the_overflow_point_is_a_range_error(self):
-        # w*e^w = 1e320 needs w > 709.78, where exp((1-a)w) overflows
-        with pytest.raises(RangeError):
-            psi(1e-300, P, 1e20)
-        # near a = 1 the factor expm1(2a*w) overflows below the root
-        with pytest.raises(RangeError):
-            psi(0.9999, P, sys.float_info.max)
+    def test_root_beyond_the_overflow_point(self, mp50):
+        # w*e^w = 1e320 needs w > 709.78, where exp((1-a)w) overflows, and
+        # near a = 1 the factor expm1(2a*w) overflows below the root: each
+        # root is a finite double all the same
+        for a, x in ((1e-300, 1e20), (0.9999, sys.float_info.max)):
+            value = psi(a, P, x)
+            ref = mp_branch_root(a, x, value)
+            assert abs(value - float(ref)) <= 2.0 * math.ulp(value)
 
-    @pytest.mark.xfail(strict=True, reason="f'(w) overflows near the root, so the Newton step "
-                       "g/dg is 0 and the solve stops early; needs the log-form residual "
-                       "of ROADMAP item 4")
     def test_root_where_the_derivative_overflows(self):
         a, x = 0.0013331334721427075, 1.797648567449418e308
         value = psi(a, P, x)
@@ -194,6 +190,56 @@ class TestTinyAAndTopOfRange:
         am, wm = mp50.mpf(a), ref
         dref = 1 / ((am * mp50.cosh(am * wm) + mp50.sinh(am * wm)) * mp50.exp(wm))
         assert psi_derivative(a, P, x, 1) == pytest.approx(float(dref), rel=1e-14)
+
+
+_DBL_MAX = sys.float_info.max
+_FAR_AS = [5e-324, 1e-310, 1e-300, 1e-100, 1e-12, 1e-8, 1e-4, 1e-3, 0.37, 0.9999, 1.0 - 2.0 ** -52]
+_FAR_XS = ([s * m for m in (5e-324, 1e-315, 1e-310, 1e-300, 1e-100, 1e-12) for s in (1.0, -1.0)]
+           + [0.3, 1e20, 1e300, _DBL_MAX / 2.0, _DBL_MAX])
+_LIBRARY_ERRORS = (core.DomainError, core.RangeError, core.ConvergenceError,
+                   core.UnsupportedError, core.AccuracyError)
+
+
+def _far_points(a):
+    """(branch, x) of _FAR_XS on each branch's domain at a, less the x within
+    1e-3 relative of f_min, where the branch point's conditioning rules."""
+    f_min = branch_constants(a).f_min
+    return [(branch, x) for branch in (P, LO) for x in _FAR_XS
+            if x >= f_min and not (branch is LO and x >= 0.0)
+            and abs(x - f_min) > 1e-3 * abs(f_min)]
+
+
+class TestFarEnds:
+    """psi where f(w) - x cannot resolve w: x or a subnormal, and roots
+    where f or f' overflows.  Against a seed-free 60-digit root."""
+
+    @pytest.mark.parametrize("a", _FAR_AS)
+    def test_roots_within_two_ulps(self, a):
+        bad = []
+        for branch, x in _far_points(a):
+            value = psi(a, branch, x)  # never a RangeError: every root is a finite double
+            ref = float(mp_psi_root(a, branch is P, x))
+            if abs(value - ref) > 2.0 * math.ulp(ref):
+                bad.append((branch.value, x, value, ref))
+        assert not bad, bad
+
+    @pytest.mark.parametrize("a, branch, x", [
+        (1e-4, LO, -1e-315), (0.01, LO, -1e-315), (0.9999, P, 1e308),
+        (1.0 - 2.0 ** -52, P, 1.7e308), (1e-320, P, -3e-321),
+        (0.0013331334721427075, P, 1.797648567449418e308)])
+    def test_off_the_grid(self, a, branch, x):
+        value = psi(a, branch, x)
+        ref = float(mp_psi_root(a, branch is P, x))
+        assert abs(value - ref) <= 2.0 * math.ulp(ref)
+
+    @pytest.mark.parametrize("a", _FAR_AS)
+    def test_derivative_and_primitive_keep_the_contract(self, a):
+        for branch, x in _far_points(a):
+            for fn, args in ((psi_derivative, (a, branch, x, 1)), (psi_primitive, (a, branch, x))):
+                try:
+                    assert math.isfinite(fn(*args)), (fn.__name__, args)
+                except _LIBRARY_ERRORS:
+                    pass
 
 
 class TestClosedFormFallback:

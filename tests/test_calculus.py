@@ -247,6 +247,18 @@ class TestPsiPrimitive:
         one_m = 1.0 - a * a
         assert psi_primitive(a, P, x) == x * w - x / one_m + a * (x / math.tanh(a * w)) / one_m
 
+    @pytest.mark.parametrize("a, x", [(5e-324, 5e-324), (5e-324, 1e-320), (1e-323, 5e-324)])
+    def test_subnormal_a_and_x(self, a, x):
+        # a*psi is subnormal, so a*x/tanh(a*psi) keeps a few bits; at
+        # (5e-324, 5e-324) psi was 0.5, a*psi rounded to 0 and the sum
+        # divided by tanh(0).  a*x*coth(a*psi) is x/psi here
+        w = psi(a, P, x)
+        with mpmath.workdps(60):
+            am, xm, wm = mpmath.mpf(a), mpmath.mpf(x), mp_branch_root(a, x, w)
+            ref = xm * wm - xm / (1 - am * am) + am * xm * mpmath.coth(am * wm) / (1 - am * am)
+        # each term is a subnormal rounded once, and subnormal sums are exact
+        assert abs(psi_primitive(a, P, x) - float(ref)) <= 2.0 * 5e-324
+
     def test_lower_branch_rejects_zero(self):
         with pytest.raises(DomainError):
             psi_primitive(0.5, LO, 0.0)

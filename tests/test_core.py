@@ -449,6 +449,18 @@ class TestLambertW:
             assert abs(w - ref) <= 2.0 * math.ulp(w), x
         assert lambert_w(LO, -1e-320) == -743.4385269728546
 
+    @pytest.mark.parametrize("branch, k", [(P, 0), (LO, -1)])
+    def test_branch_point_in_error_free_form(self, branch, k, mp50):
+        # e*x + 1 in double carries about ulp(1/e) of absolute error, which
+        # the square-root conditioning magnified up to 3.6e7 ulps
+        rng = random.Random(23)
+        inv_e = mp50.exp(-1)
+        us = [10.0 ** rng.uniform(-16.0, -3.0) for _ in range(300)]
+        for x in [float(u - inv_e) for u in us] + [-0.3678794408035629, -0.3678794285337033]:
+            w = lambert_w(branch, x)
+            ref = mp50.lambertw(mp50.mpf(x), k).real
+            assert abs(w - ref) <= 2.0 * math.ulp(w), x
+
     def test_lower_log_three_steps_reach_the_root(self):
         # the log-form Newton of the lower branch's underflow end: 17 more
         # steps after its 3 move the result by at most 2 ulps, at a = 0

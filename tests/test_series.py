@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_tables as gt
-from conftest import geometric_grid, linear_grid, mp_reversion
+from conftest import geometric_grid, linear_grid, mp_branch_root, mp_reversion
 from pqlambert.core import (
     AsymmetryParam,
     BranchId,
@@ -311,6 +311,14 @@ class TestAsymptotics:
         assert abs(asymptotic_psi0(a, 1e6, 3) - psi(a, P, 1e6)) <= 1e-10
         assert abs(asymptotic_psi1(a, -1e-8, 3) - psi(a, LO, -1e-8)) <= 1e-9
 
+    @pytest.mark.parametrize("a", [0.37, 0.5, 0.9999, 1.0 - 2.0 ** -52])
+    @pytest.mark.parametrize("x", [5e-324, 1e-310])
+    def test_subnormal_x_is_a_range_error(self, a, x):
+        # Y = (2x)^(-2a/(1+a)) overflows, or its cube does in the sum: the
+        # value was -inf or a bare OverflowError
+        with pytest.raises(RangeError):
+            asymptotic_psi0(a, x)
+
     def test_term_count_and_domain_validation(self):
         with pytest.raises(ValueError):
             asymptotic_psi0(0.5, 100.0, 5)
@@ -392,10 +400,17 @@ class TestBounds:
 
     @pytest.mark.parametrize("x", [1.7e308, 1.7976931348623157e308])
     def test_above_half_the_largest_double(self, x):
-        # 2x overflows: log(2x) is taken as log(x) + log(2)
+        # 2x overflows: log(2x) is taken as log(x) + log(2).  The envelope
+        # is (2x)^(-2/3)/1.5 wide, far below an ulp, so each bound is the
+        # root to rounding, and psi is the root within an ulp
         value = psi(0.5, P, x)
         lo, hi = psi0_bounds(0.5, x)
-        assert lo <= value <= hi
+        with mpmath.workdps(50):
+            ref = mp_branch_root(0.5, x, value)
+        assert abs(value - float(ref)) <= math.ulp(value)
+        assert lo <= hi
+        assert abs(lo - float(ref)) <= 2.0 * math.ulp(value)
+        assert abs(hi - float(ref)) <= 2.0 * math.ulp(value)
         assert asymptotic_psi0(0.5, x) == pytest.approx(value, rel=1e-15)
         se = series.SeriesExpansion(
             SeriesKind.ASYMPTOTIC_PSI0, AsymmetryParam(0.5),
