@@ -384,8 +384,18 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
     log_2x, y = _log_pow_2x(x, -2.0 * aa / (1.0 + aa))
     base = log_2x / (1.0 + aa)
     if aa < 1.0 / 3.0:
-        return base + y / (1.0 + aa), base + 2.0 * y / (1.0 + aa)
-    return base + y / (3.0 * (1.0 + aa)), base + y / (1.0 + aa)
+        lo, hi = base + y / (1.0 + aa), base + 2.0 * y / (1.0 + aa)
+    else:
+        lo, hi = base + y / (3.0 * (1.0 + aa)), base + y / (1.0 + aa)
+    if 2.0 * x == math.inf:
+        # log(x) + log 2 is within 2 ulps of log(2x) (an ulp in the log,
+        # half of one in the sum, a little in the constant), and 1 + a, the
+        # quotient and the sum put 2 ulps more on each bound: the envelope,
+        # far narrower than an ulp here, is widened by these and by the
+        # rounding of the widening itself, so that it still holds the root
+        slack = 2.0 * math.ulp(log_2x) / (1.0 + aa) + 3.0 * math.ulp(hi)
+        lo, hi = lo - slack, hi + slack
+    return lo, hi
 
 
 def envelope_crossover_estimates(a) -> dict:

@@ -400,23 +400,32 @@ class TestBounds:
 
     @pytest.mark.parametrize("x", [1.7e308, 1.7976931348623157e308])
     def test_above_half_the_largest_double(self, x):
-        # 2x overflows: log(2x) is taken as log(x) + log(2).  The envelope
-        # is (2x)^(-2/3)/1.5 wide, far below an ulp, so each bound is the
-        # root to rounding, and psi is the root within an ulp
+        # 2x overflows: log(2x) is taken as log(x) + log(2), and the bounds
+        # are widened by the rounding of that path; psi is the root within
+        # an ulp
         value = psi(0.5, P, x)
         lo, hi = psi0_bounds(0.5, x)
+        assert lo <= value <= hi
         with mpmath.workdps(50):
             ref = mp_branch_root(0.5, x, value)
         assert abs(value - float(ref)) <= math.ulp(value)
-        assert lo <= hi
-        assert abs(lo - float(ref)) <= 2.0 * math.ulp(value)
-        assert abs(hi - float(ref)) <= 2.0 * math.ulp(value)
         assert asymptotic_psi0(0.5, x) == pytest.approx(value, rel=1e-15)
         se = series.SeriesExpansion(
             SeriesKind.ASYMPTOTIC_PSI0, AsymmetryParam(0.5),
             series.asymptotic_tail_coeffs(0.5, "psi0", 3), 3, "y = (2x)^(-2a/(1+a))",
             "log(2x)/(1+a)", math.inf)
         assert se.evaluate(x) == asymptotic_psi0(0.5, x)
+
+    @pytest.mark.parametrize("a", [0.1, 0.2, 0.45, 0.9, 0.9999])
+    @pytest.mark.parametrize("x", [1.7e308, 1.75e308, 1.7976931348623157e308])
+    def test_bounds_hold_the_root_where_2x_overflows(self, a, x):
+        # the envelope is narrower than an ulp here: only the widening by
+        # the rounding of log(x) + log 2 keeps the root inside
+        lo, hi = psi0_bounds(a, x)
+        with mpmath.workdps(50):
+            ref = mp_branch_root(a, x, lo)
+            assert lo <= ref <= hi
+        assert hi - lo <= 16.0 * math.ulp(hi)
 
     def test_largest_finite_threshold_keeps_its_value(self):
         # near the smallest a whose threshold is finite: it keeps its bits
