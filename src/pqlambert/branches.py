@@ -154,7 +154,9 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
     """Branch value at a validated x for 0 < a < 1, given the constants bc of a."""
     fmin, wmin, scale = bc
     if x - fmin <= _BAND * abs(fmin):  # _domain_tol(fmin), without its frame
-        return wmin
+        # f_min rounds to -0.0 only at a = 5e-324; x = +-0 lies above the
+        # true f_min there, on the principal root 0
+        return wmin if fmin else x
     if abs(x) < _TINY or a < _TINY:
         return _far_root(a, bc, branch, x)
 
@@ -355,6 +357,8 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
     # so the two routes agree where the square-root sensitivity blows up
     if x - bc.f_min <= _domain_tol(bc.f_min):
         return bc.w_min
+    if abs(x) < _TINY:  # the radicals keep no bit of a subnormal x
+        return _solve_branch(p.a, bc, branch, x)
     try:
         w = _CLOSED_FORMS[tag](branch, x)
     except (ArithmeticError, ValueError):
@@ -441,7 +445,12 @@ def omega_closed_form(a, z: float) -> float:
         raise UnsupportedError(
             "closed-form transition exists only for a in {1/3, 1/2, 1/5} "
             "constructed as exact rationals")
-    return OMEGA_CLOSED_FORMS[tag](z)
+    try:
+        w = OMEGA_CLOSED_FORMS[tag](z)
+    except (ArithmeticError, ValueError):
+        w = math.nan
+    # where f(z) is subnormal, the branch radicals keep none of its bits
+    return w if math.isfinite(w) else omega(a, z)
 
 
 def omega_finite_n(n: int, a, z: float) -> float:

@@ -21,6 +21,7 @@ import sys
 from . import branches, core
 
 EXIT_DOMAIN = 2
+_CSV_BLOCK = 1 << 14  # rows that pqdist formats at a time
 
 
 def _fmt(value) -> str:
@@ -335,11 +336,14 @@ def cmd_pqdist(n_value, a_text, z, p, q, out):
         sidecar.update(a=a.a, z=z, y_omega=y, omega_bar=branches.omega_finite_n(n_value, a, z))
     dist = pqbinom.build_distribution(params)
     masses = dist.masses()
+    row = "%d,%.17g,%.17g,%.17g\n".__mod__  # "%.17g" % x is format(x, ".17g")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         fh.write("k,k_over_n,mass,log_coeff\n")
-        for k in range(n_value + 1):
-            fh.write(f"{k},{_fmt(k / n_value)},{_fmt(float(masses[k]))},"
-                     f"{_fmt(float(dist.log_coeffs[k]))}\n")
+        for start in range(0, n_value + 1, _CSV_BLOCK):
+            ks = range(start, min(start + _CSV_BLOCK, n_value + 1))
+            fh.writelines(map(row, zip(ks, [k / n_value for k in ks],
+                                       masses[ks.start:ks.stop].tolist(),
+                                       dist.log_coeffs[ks.start:ks.stop].tolist())))
     sidecar.update(p=params.p, q=params.q, peaks=list(dist.peaks), log_norm=dist.log_norm)
     root, ext = os.path.splitext(out)
     sidecar_path = (root + ".json") if ext.lower() == ".csv" else (out + ".json")

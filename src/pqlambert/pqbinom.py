@@ -110,16 +110,19 @@ def _exp_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _log_abs_diff_terms(log_hi: float, log_ratio: float, m) -> np.ndarray:
-    """log |hi^m - lo^m| = m*log(hi) + log(1 - (lo/hi)^m), vectorized in m.
+def _log_abs_diff_terms(log_hi: float, log_ratio: float, first: int, count: int) -> np.ndarray:
+    """log |hi^m - lo^m| = m*log(hi) + log(1 - (lo/hi)^m) for the ``count``
+    integers m from ``first`` on, vectorized in m.
 
-    ``log_ratio`` = log(lo/hi) < 0 and ``m`` ascends.  The second term
-    switches between log(-expm1(t)) and log1p(-exp(t)) at t = -log(2) to
-    stay accurate for ratios near 1 and near 0 alike; t = m*log_ratio
-    descends, so the first form covers a prefix and the second the rest.
+    ``log_ratio`` = log(lo/hi) < 0.  The second term switches between
+    log(-expm1(t)) and log1p(-exp(t)) at t = -log(2) to stay accurate for
+    ratios near 1 and near 0 alike; t = m*log_ratio descends, so the first
+    form covers a prefix and the second the rest.  m becomes m*log(hi) in
+    place, so the call holds two arrays of ``count`` entries.
     """
     import numpy as np
 
+    m = np.arange(first, first + count, dtype=float)
     out = m * log_ratio
     cut = bisect.bisect_left(out, True, key=lambda t: t <= -_LN2)
     near, far = out[:cut], out[cut:]
@@ -129,7 +132,8 @@ def _log_abs_diff_terms(log_hi: float, log_ratio: float, m) -> np.ndarray:
     np.exp(far, out=far)
     np.negative(far, out=far)
     np.log1p(far, out=far)
-    out += m * log_hi
+    m *= log_hi
+    out += m
     return out
 
 
@@ -156,9 +160,8 @@ def log_pq_binomial(params: PqParams, k: int) -> float:
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
     log_ratio = _log_ratio(lo, hi)
-    j = np.arange(1, k + 1, dtype=float)
-    num = _log_abs_diff_terms(log_hi, log_ratio, n - k + j)
-    den = _log_abs_diff_terms(log_hi, log_ratio, j)
+    num = _log_abs_diff_terms(log_hi, log_ratio, n - k + 1, k)
+    den = _log_abs_diff_terms(log_hi, log_ratio, 1, k)
     return float(np.sum(num - den))
 
 
@@ -189,16 +192,14 @@ def _find_peaks(ratios: np.ndarray, tol: float) -> tuple:
     return tuple(peaks)
 
 
-def _terms_and_peaks(params: PqParams) -> tuple[np.ndarray, tuple]:
-    """The factor terms d[m-1] = log|hi^m - lo^m|, m = 1..n, and the peaks.
+def _factor_terms(params: PqParams) -> tuple[np.ndarray, float]:
+    """The factor terms d[m-1] = log|hi^m - lo^m|, m = 1..n, and the
+    tolerance of the adjacent log-ratios they give.
 
-    The peaks come from the adjacent log-ratios
-    log C(k)/C(k-1) = d[n-k] - d[k-1], each one subtraction, exactly
+    log C(k)/C(k-1) = d[n-k] - d[k-1] is one subtraction, exactly
     antisymmetric and free of any prefix-sum drift; ratios within 4 ulps
     of the largest term magnitude count as flat.
     """
-    import numpy as np
-
     n = params.n
     if n > N_MAX:
         raise DomainError(f"n = {n} exceeds the practical cap {N_MAX}")
@@ -206,11 +207,18 @@ def _terms_and_peaks(params: PqParams) -> tuple[np.ndarray, tuple]:
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
     log_ratio = _log_ratio(lo, hi)
-    d = _log_abs_diff_terms(log_hi, log_ratio, np.arange(1, n + 1, dtype=float))
+    d = _log_abs_diff_terms(log_hi, log_ratio, 1, n)
     # each d[m] is good to a few ulps of its larger summand, at most
     # n*|log hi| or, at m = 1, |log(1 - lo/hi)|
     scale = max(n * abs(log_hi), abs(math.log(-math.expm1(log_ratio))))
-    return d, _find_peaks(d[::-1] - d, 4.0 * math.ulp(scale))
+    return d, 4.0 * math.ulp(scale)
+
+
+def _log_ratios(params: PqParams) -> tuple[np.ndarray, float]:
+    """The adjacent log-ratios log C(k+1)/C(k) and their flat tolerance,
+    with the factor terms freed before the ratios are scanned."""
+    d, tol = _factor_terms(params)
+    return d[::-1] - d, tol
 
 
 def build_distribution(params: PqParams) -> PqDistribution:
@@ -219,12 +227,13 @@ def build_distribution(params: PqParams) -> PqDistribution:
     With d[m-1] = log|hi^m - lo^m|, the log-coefficients come from prefix
     sums S of d: log C(k) = S(n) - S(n-k) - S(k).  This is O(n),
     overflow-free, and bit-exactly symmetric under k <-> n-k.  The peaks
-    come from the adjacent log-ratios (see _terms_and_peaks).
+    come from the adjacent log-ratios (see _factor_terms).
     """
     import numpy as np
 
     n = params.n
-    d, peaks = _terms_and_peaks(params)
+    d, tol = _factor_terms(params)
+    peaks = _find_peaks(d[::-1] - d, tol)
     s = np.empty(n + 1)
     s[0] = 0.0
     np.cumsum(d, out=s[1:])
@@ -282,10 +291,12 @@ def peak_drift(n: int, a, z: float) -> tuple[int, float]:
 
     Takes the peaks of the distribution at y = omega(a, z), the same as
     build_distribution's, from the log-ratio scan alone, and measures
-    |k_peak - n(1-a)/2| / n; the offset shrinks toward 0 as n grows.
+    |k_peak - n(1-a)/2| / n; the offset shrinks toward 0 as n grows.  The
+    factor terms are freed before the scan, so the working set is the
+    ratios and the scan's index array: about 2.5 arrays of n+1 doubles.
     """
     ap = as_param(a)
-    _, peaks = _terms_and_peaks(PqParams.from_transition(n, ap, z))
+    peaks = _find_peaks(*_log_ratios(PqParams.from_transition(n, ap, z)))
     k_peak = min(peaks)
     offset = abs(k_peak - n * (1.0 - ap.a) / 2.0) / n
     return k_peak, offset

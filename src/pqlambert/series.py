@@ -22,6 +22,7 @@ from .core import (
     _LN2,
     _check_branch_domain,
     _check_int,
+    _finite,
     _interior_a,
     _real,
     as_param,
@@ -31,6 +32,8 @@ from .core import (
 __all__ = list(_LAZY["series"])
 
 _LOG_TINY = math.log(sys.float_info.min)  # exp(t) is subnormal below this
+_TINY = sys.float_info.min  # the least normal double
+_SUBNORMAL_SCALE = 2.0 ** 600  # _local_coeffs' scale for a subnormal a
 
 TAYLOR_ORDER_MAX = 40   # double precision is exhausted well before this
 BRANCH_POINT_ORDER_MAX = 12
@@ -96,7 +99,9 @@ def bell(n: int, k: int, args) -> float:
 
     Computed from the recurrence
     B_{n,k} = sum_j C(n-1, j-1) * x_j * B_{n-j,k-1}.  Returns 0 for k > n
-    (no partition of n into more than n blocks), 1 for n = k = 0.
+    (no partition of n into more than n blocks), 1 for n = k = 0.  The
+    arguments must be finite, and RangeError is raised where the value
+    leaves the double range.
     """
     _check_int("n", n, 0)
     _check_int("k", k, 0)
@@ -106,7 +111,7 @@ def bell(n: int, k: int, args) -> float:
         return 1.0
     if k == 0:
         return 0.0
-    args = [float(v) for v in args]
+    args = [_finite("args", v) for v in args]
     if len(args) < n - k + 1:
         raise DomainError(f"need at least {n - k + 1} arguments, got {len(args)}")
     table = {(0, 0): 1.0}
@@ -121,6 +126,8 @@ def bell(n: int, k: int, args) -> float:
                 if prev:
                     s += math.comb(nn - 1, j - 1) * args[j - 1] * prev
             table[(nn, kk)] = s
+    if not math.isfinite(table[(n, k)]):
+        raise RangeError(f"B_{n},{k} leaves the double range")
     return table[(n, k)]
 
 
@@ -192,10 +199,17 @@ def _local_coeffs(a: float, w: float, n: int) -> tuple[float, list]:
     L = log((1+a)/(1-a)), free of cancellation.  Above the minimizer
     (t_1 > 0) the same c_k is (1+a)^k e^((1+a)w) (-expm1(-t_k)) / (2 k!).
     The exponential factor cancels from r_k, so nothing overflows where
-    the inverse series is finite; w = w_min (c_1 = 0) is excluded.
+    the inverse series is finite; w = w_min (c_1 = 0) is excluded.  At a
+    subnormal a, where 2a*w keeps a few bits, the t_k are taken scaled by
+    2^600 (L is 2a exactly there, and expm1(t_k) is t_k): the r_k are
+    ratios and do not see the scale, and 1/c_1 takes it back.
     """
     lr = math.log1p(a) - math.log1p(-a)
     tw = 2.0 * a * w
+    scale = 1.0
+    if a < _TINY:
+        scale = _SUBNORMAL_SCALE
+        lr, tw = lr * scale, 2.0 * (a * scale) * w
     if lr + tw < 0.0:
         base, sgn, log_pre = 1.0 - a, 1.0, (1.0 - a) * w
     else:
@@ -208,8 +222,9 @@ def _local_coeffs(a: float, w: float, n: int) -> tuple[float, list]:
         fact *= k
         r.append(bk * math.expm1(sgn * (k * lr + tw)) / (fact * e1))
     if -log_pre < _LOG_TINY:  # exp(-log_pre) underflows; 1/c_1 may not (tiny a)
-        return math.copysign(math.exp(-log_pre - math.log(0.5 * base * abs(e1))), sgn * e1), r
-    return sgn * 2.0 * math.exp(-log_pre) / (base * e1), r
+        log_inv = -log_pre - math.log(0.5 * base * abs(e1)) + math.log(scale)
+        return math.copysign(math.exp(log_inv), sgn * e1), r
+    return sgn * 2.0 * math.exp(-log_pre) / (base * e1) * scale, r
 
 
 def taylor_at_zero(a, order: int) -> SeriesExpansion:
@@ -237,9 +252,13 @@ def derivative_series_check(a) -> list:
     """[psi0(0), psi0'(0), psi0''(0), psi0'''(0)] in closed form.
 
     Cross-validation anchor shared with the derivative recurrence:
-    0, 1/a, -2/a^2, (9a^2 - a^4)/a^5.
+    0, 1/a, -2/a^2, (9a^2 - a^4)/a^5.  Below a = 2.9e-62, where a^5 is
+    subnormal or 0, these powers cannot form the values (of order 1/a^3,
+    past the double range from a = 3.7e-103 down), and RangeError is raised.
     """
     aa = _interior_a(a)
+    if aa ** 5 < _TINY:
+        raise RangeError(f"a^5 underflows at a = {aa!r}")
     return [0.0, 1.0 / aa, -2.0 / aa ** 2, (9.0 * aa ** 2 - aa ** 4) / aa ** 5]
 
 
@@ -387,15 +406,14 @@ def psi0_bounds(a, x: float) -> tuple[float, float]:
         lo, hi = base + y / (1.0 + aa), base + 2.0 * y / (1.0 + aa)
     else:
         lo, hi = base + y / (3.0 * (1.0 + aa)), base + y / (1.0 + aa)
-    if 2.0 * x == math.inf:
-        # log(x) + log 2 is within 2 ulps of log(2x) (an ulp in the log,
-        # half of one in the sum, a little in the constant), and 1 + a, the
-        # quotient and the sum put 2 ulps more on each bound: the envelope,
-        # far narrower than an ulp here, is widened by these and by the
-        # rounding of the widening itself, so that it still holds the root
-        slack = 2.0 * math.ulp(log_2x) / (1.0 + aa) + 3.0 * math.ulp(hi)
-        lo, hi = lo - slack, hi + slack
-    return lo, hi
+    # log(2x) is within 2 ulps (an ulp in the log; where 2x overflows, half
+    # of one more in log(x) + log 2 and a little in the constant), and
+    # 1 + a, the quotient and the sum put 2 ulps more on each bound, while
+    # the envelope narrows below an ulp at large x: both bounds are widened
+    # by these and by the rounding of the widening itself, so that they
+    # hold the root
+    slack = 2.0 * math.ulp(log_2x) / (1.0 + aa) + 3.0 * math.ulp(hi)
+    return lo - slack, hi + slack
 
 
 def envelope_crossover_estimates(a) -> dict:

@@ -233,6 +233,26 @@ class TestFarEnds:
         assert abs(value - ref) <= 2.0 * math.ulp(ref)
 
     @pytest.mark.parametrize("a", _FAR_AS)
+    def test_derivative_against_mpmath(self, a):
+        # 1/f'(psi) at the 60-digit root; RangeError only where it overflows
+        bad = []
+        for branch, x in _far_points(a):
+            with mpmath.workdps(60):
+                w, am = mp_psi_root(a, branch is P, x), mpmath.mpf(a)
+                ref = 1 / ((am * mpmath.cosh(am * w) + mpmath.sinh(am * w)) * mpmath.exp(w))
+            try:
+                value = psi_derivative(a, branch, x, 1)
+            except RangeError:
+                value = math.inf
+            if abs(ref) > _DBL_MAX:
+                ok = value == math.inf
+            else:
+                ok = abs(value - ref) <= 1e-12 * abs(ref)
+            if not ok:
+                bad.append((branch.value, x, value, float(ref)))
+        assert not bad, bad
+
+    @pytest.mark.parametrize("a", _FAR_AS)
     def test_derivative_and_primitive_keep_the_contract(self, a):
         for branch, x in _far_points(a):
             for fn, args in ((psi_derivative, (a, branch, x, 1)), (psi_primitive, (a, branch, x))):

@@ -335,6 +335,20 @@ class TestPqdist:
         for k, ln in enumerate(lines):
             assert float(ln.split(",")[3]) == float(dist.log_coeffs[k])
 
+    def test_rows_across_blocks_match_the_value_format(self, runner, tmp_path):
+        # rows are formatted a block at a time; each value is format(x, ".17g")
+        n = 2 * pqlambert.cli._CSV_BLOCK + 5
+        out = tmp_path / "blocks.csv"
+        res = runner.invoke(main, ["pqdist", "--n", str(n), "--a", "0.37",
+                                   "--z", "-2", "--out", str(out)])
+        assert res.exit_code == 0
+        params = PqParams.from_transition(n, AsymmetryParam(0.37), -2.0)
+        dist = build_distribution(params)
+        want = "".join(f"{k},{format(k / n, '.17g')},{format(m, '.17g')},{format(c, '.17g')}\n"
+                       for k, (m, c) in enumerate(zip(dist.masses().tolist(),
+                                                      dist.log_coeffs.tolist())))
+        assert out.read_text() == "k,k_over_n,mass,log_coeff\n" + want
+
     def test_conflicting_parameterizations_rejected(self, runner, tmp_path):
         res = runner.invoke(main, ["pqdist", "--n", "8", "--p", "1.1",
                                    "--a", "1/2", "--z", "-1",

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,19 @@ class TestPeakDrift:
     def test_cap(self):
         with pytest.raises(DomainError):
             peak_drift(2 ** 24 + 1, 0.37, -2.0)
+
+    def test_working_set_leaves_out_the_factor_terms(self):
+        # the log-ratios and the scan's index array, about 2.5 arrays of
+        # n+1 doubles; the factor terms held through the scan make it 3.6
+        n = 2 ** 16
+        peak_drift(64, 0.37, -2.0)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            peak_drift(n, 0.37, -2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 8 * (n + 1)
 
     def test_offset_shrinks_with_n(self):
         offsets = [peak_drift(2 ** k, A_HALF, -5.0)[1] for k in (10, 12, 14)]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import golden_tables as gt
-from conftest import geometric_grid, linear_grid, mp_branch_root, mp_reversion
+from conftest import geometric_grid, linear_grid, mp_branch_root, mp_psi_root, mp_reversion
 from pqlambert.core import (
     AsymmetryParam,
     BranchId,
@@ -426,6 +426,17 @@ class TestBounds:
             ref = mp_branch_root(a, x, lo)
             assert lo <= ref <= hi
         assert hi - lo <= 16.0 * math.ulp(hi)
+
+    @pytest.mark.parametrize("a", [0.1, 0.5, 0.9, 0.9999])
+    @pytest.mark.parametrize("x", [1e20, 1e50, 1e100, 1e300])
+    def test_bounds_hold_the_root_where_2x_is_finite(self, a, x):
+        # the rounding of log(2x)/(1+a) outgrows the envelope: the bounds
+        # are widened by it on every path, and stay narrow
+        lo, hi = psi0_bounds(a, x)
+        with mpmath.workdps(60):
+            assert lo <= mp_psi_root(a, True, x) <= hi
+        if x >= 1e100:
+            assert hi - lo <= 16.0 * math.ulp(hi)
 
     def test_largest_finite_threshold_keeps_its_value(self):
         # near the smallest a whose threshold is finite: it keeps its bits
