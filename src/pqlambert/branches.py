@@ -25,7 +25,6 @@ from .core import (
     _check_int,
     _check_z,
     _constants_for,
-    _domain_tol,
     _f,
     _log_form,
     _lower_log,
@@ -153,7 +152,7 @@ def _far_root(a: float, bc: BranchConstants, branch: BranchId, x: float) -> floa
 def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> float:
     """Branch value at a validated x for 0 < a < 1, given the constants bc of a."""
     fmin, wmin, scale = bc
-    if x - fmin <= _BAND * abs(fmin):  # _domain_tol(fmin), without its frame
+    if x - fmin <= _BAND * abs(fmin):  # the branch point: the one snap to w_min
         # f_min rounds to -0.0 only at a = 5e-324; x = +-0 lies above the
         # true f_min there, on the principal root 0
         return wmin if fmin else x
@@ -176,16 +175,10 @@ def _solve_branch(a: float, bc: BranchConstants, branch: BranchId, x: float) -> 
                 u = x / a
                 seed = u - u * u + (9.0 - a * a) * u ** 3 / 6.0
             return newton_bracketed(g, wmin, 0.0, seed, increasing=True)
-        if x >= 10.0:
-            if x > _HALF_MAX:  # f'(w) = (1+a)x + ... overflows near the root
-                return _far_root(a, bc, branch, x)
-            seed = _asym0_seed(a, x)
-        elif t <= 0.6 * t_max:
-            seed = _bp_seed(bc, t, 1.0, a)
-        elif x >= 1.0:
-            seed = _asym0_seed(a, x)
-        else:
-            seed = 0.5 * math.log1p(2.0 * x)  # elementary a=1 lower bound
+        if x > _HALF_MAX:  # f'(w) = (1+a)x + ... overflows near the root
+            return _far_root(a, bc, branch, x)
+        # 0.5*log1p(2x) is the elementary a=1 lower bound
+        seed = _asym0_seed(a, x) if x >= 1.0 else 0.5 * math.log1p(2.0 * x)
         # f raises OverflowError once (1-a)*w or 2a*w passes log(DBL_MAX)
         w_cap = _LOG_DBL_MAX / max(1.0 - a, 2.0 * a)
         hi = min(max(seed, 0.0) + 1.0, w_cap)
@@ -353,11 +346,9 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
             "closed forms exist only for a in {1/3, 1/2, 1/5, 3/5, 1/7} "
             "constructed as exact rationals")
     bc, x = _check_branch_domain(p.a, branch, x)
-    # same treatment of the branch-point neighborhood as the generic solver,
-    # so the two routes agree where the square-root sensitivity blows up
-    if x - bc.f_min <= _domain_tol(bc.f_min):
-        return bc.w_min
-    if abs(x) < _TINY:  # the radicals keep no bit of a subnormal x
+    # the solver takes the branch-point band, where the square-root
+    # sensitivity blows up, and subnormal x, of which the radicals keep no bit
+    if x - bc.f_min <= _BAND * abs(bc.f_min) or abs(x) < _TINY:
         return _solve_branch(p.a, bc, branch, x)
     try:
         w = _CLOSED_FORMS[tag](branch, x)
@@ -386,7 +377,7 @@ def omega(a, z: float) -> float:
     if aa == 1.0:
         raise DomainError("transition function undefined at a=1: single branch only")
     bc = _constants_for(aa)
-    if z == bc.w_min:
+    if z == bc.w_min:  # near a = 1, f(w_min) misses f_min by more than the band
         return z
     # the a -> 0 band: |z|, |y| < max(|z|, 752), (a*y)^2/6 < 2^-56, w_min = -1
     if aa <= 2.0 ** -37 and aa * max(-z, 1024.0) <= 2.0 ** -27:

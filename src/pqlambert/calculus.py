@@ -22,7 +22,6 @@ from .core import (
     _check_branch_domain,
     _check_int,
     _check_rel_tol,
-    _domain_tol,
     _interior_a,
     _is_principal,
     as_param,
@@ -127,10 +126,10 @@ def psi_derivative(a, branch: BranchId, x: float, n: int = 1) -> float:
     aa = _interior_a(a)
     _check_int("n", n, 1, DERIVATIVE_ORDER_MAX)
     bc, x = _check_branch_domain(aa, branch, x)
-    if x - bc.f_min <= _domain_tol(bc.f_min):
+    w = branches._solve_branch(aa, bc, branch, x)
+    if w == bc.w_min:  # the solver's branch-point band
         raise SingularityError(
             f"derivative is singular at the branch point x = {bc.f_min!r}")
-    w = branches._solve_branch(aa, bc, branch, x)
     try:
         inv_c1, r = _local_coeffs(aa, w, n)
     except OverflowError as exc:
@@ -157,11 +156,11 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     aa = _interior_a(a)
     bc, x = _check_branch_domain(aa, branch, x)
     one_m = 1.0 - aa * aa
-    if x - bc.f_min <= _domain_tol(bc.f_min):
-        return bc.f_min * (bc.w_min - 2.0 / one_m)
     if x == 0.0:
         return aa / one_m
-    psiv = branches.psi(aa, branch, x)
+    psiv = branches._solve_branch(aa, bc, branch, x)
+    if psiv == bc.w_min:  # the solver's branch-point band
+        return bc.f_min * (bc.w_min - 2.0 / one_m)
     # at a subnormal a, a*psi keeps a few bits (or is 0): take the a -> 0 limit x/psi
     coth_term = x / psiv if aa < sys.float_info.min else aa * (x / math.tanh(aa * psiv))
     value = x * psiv - x / one_m + coth_term / one_m
@@ -244,13 +243,14 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
     """
     aa = _interior_a(a)
     _check_rel_tol(rel_tol)
-    fmin = branch_constants(aa).f_min
+    bc = branch_constants(aa)
+    fmin = bc.f_min
     if -fmin < _QUAD_MIN_DOUBLES * 2.0 ** -1074 / rel_tol:
         raise AccuracyError(f"[f_min, 0] = [{fmin!r}, 0] holds too few doubles "
                             f"to resolve rel_tol = {rel_tol!r}")
 
     def by_t(t):
-        return 2.0 * t * branches.psi(aa, branch, fmin + t * t)
+        return 2.0 * t * branches._solve_branch(aa, bc, branch, fmin + t * t)
 
     if _is_principal(branch):
         val, _ = _tanh_sinh(by_t, 0.0, math.sqrt(-fmin), rel_tol / 4.0)
@@ -264,7 +264,7 @@ def integral_psi_quadrature(a, branch: BranchId, rel_tol: float = 1e-9) -> float
 
     def by_s(s):
         xv = -math.exp(-s)
-        return branches.psi(aa, branch, xv) * math.exp(-s)
+        return branches._solve_branch(aa, bc, branch, xv) * math.exp(-s)
 
     v2, _ = _tanh_sinh(by_s, s0, s_max, rel_tol / 8.0)
     return v1 + v2

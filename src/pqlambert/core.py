@@ -222,11 +222,6 @@ def _is_principal(branch) -> bool:
 _BAND = 8.0 * _EPS  # relative width of the band above f_min that counts as the branch point
 
 
-def _domain_tol(f_min: float) -> float:
-    """Width of the band above f_min that counts as the branch point."""
-    return _BAND * abs(f_min)
-
-
 class BranchConstants(NamedTuple):
     """Branch-point data of the forward map for a fixed asymmetry.
 

@@ -2,10 +2,13 @@
 
 ``bit_identity_pins.json`` holds, for a seeded grid of calls to ``psi``
 (both branches, every seed region), ``omega``, ``omega_finite_n`` and
-``psi_derivative`` (orders 1-8), the exact result as ``float.hex`` (or the
-name of the exception raised).  The test replays every call and requires
-the same bits, so a refactor of the solve path that claims to change no
-floating-point operation is held to that claim.
+``psi_derivative`` (orders 1-8), then for a second seeded grid of calls
+to ``psi_primitive`` and ``psi_closed_form`` (the five rationals, written
+``"num/den"``) that also steps x across the branch-point band, the exact
+result as ``float.hex`` (or the name of the exception raised).  The test
+replays every call and requires the same bits, so a refactor of the
+solve path that claims to change no floating-point operation is held to
+that claim.
 
 The grid leaves out a < 1e-150 and x > DBL_MAX/2, and the file leaves
 out the calls that leaked a bare ``OverflowError`` or
@@ -24,12 +27,14 @@ import random
 import pytest
 
 from pqlambert.branches import omega, omega_finite_n, psi
-from pqlambert.calculus import psi_derivative
-from pqlambert.core import BranchId, branch_constants
+from pqlambert.branches import psi_closed_form
+from pqlambert.calculus import psi_derivative, psi_primitive
+from pqlambert.core import AsymmetryParam, BranchId, branch_constants
 
 PIN_FILE = os.path.join(os.path.dirname(__file__), "bit_identity_pins.json")
 FUNCTIONS = {"psi": psi, "omega": omega, "omega_finite_n": omega_finite_n,
-             "psi_derivative": psi_derivative}
+             "psi_derivative": psi_derivative, "psi_primitive": psi_primitive,
+             "psi_closed_form": psi_closed_form}
 BRANCHES = {"principal": BranchId.PRINCIPAL, "lower": BranchId.LOWER}
 LEAKS = ("!OverflowError", "!ZeroDivisionError", float.hex(math.inf))
 
@@ -81,6 +86,38 @@ def grid(seed=20261018, count=32):
     return calls
 
 
+def _band_xs(f_min):
+    """f_min and doubles up to 32 ulps above it, across the 8-eps band."""
+    xs, x = [], f_min
+    for k in range(33):
+        if k in (0, 1, 2, 4, 6, 8, 10, 12, 14, 16, 20, 32):
+            xs.append(x)
+        x = math.nextafter(x, math.inf)
+    return xs
+
+
+def primitive_closed_form_grid(seed=20261020, count=12, draws=3):
+    """The pinned calls of psi_primitive and psi_closed_form, from their own
+    generator, so that grid()'s calls keep their place in the file."""
+    rng = random.Random(seed)
+    edges = {"principal": [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310],
+             "lower": [-5e-324, -1e-310]}
+    calls = []
+    for _ in range(count):
+        a = _draw_a(rng)
+        f_min = branch_constants(a).f_min
+        for br, xs in _branch_xs(rng, f_min).items():
+            for x in xs + _band_xs(f_min) + edges[br]:
+                calls.append(("psi_primitive", [a, br, x]))
+    for num, den in ((1, 3), (1, 2), (1, 5), (3, 5), (1, 7)):
+        f_min = branch_constants(num / den).f_min
+        drawn = [_branch_xs(rng, f_min) for _ in range(draws)]
+        for br in BRANCHES:
+            for x in [x for xs in drawn for x in xs[br]] + _band_xs(f_min) + edges[br]:
+                calls.append(("psi_closed_form", [f"{num}/{den}", br, x]))
+    return calls
+
+
 def _encode(value):
     return float.hex(value) if isinstance(value, float) else value
 
@@ -89,8 +126,17 @@ def _decode(value):
     return float.fromhex(value) if isinstance(value, str) and "0x" in value else value
 
 
+def _arg(value):
+    if not isinstance(value, str):
+        return value
+    if value in BRANCHES:
+        return BRANCHES[value]
+    num, den = value.split("/")
+    return AsymmetryParam.from_rational(int(num), int(den))
+
+
 def _run(name, args):
-    args = [BRANCHES.get(v, v) if isinstance(v, str) else v for v in args]
+    args = [_arg(v) for v in args]
     try:
         return float.hex(FUNCTIONS[name](*args))
     except Exception as exc:  # the pin records which error a call raises
@@ -122,7 +168,7 @@ def test_results_are_bit_identical(name):
 
 def main():
     pins = [{"fn": name, "args": [_encode(v) for v in args], "result": _run(name, args)}
-            for name, args in grid()]
+            for name, args in grid() + primitive_closed_form_grid()]
     pins = [pin for pin in pins if pin["result"] not in LEAKS]
     with open(PIN_FILE, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(pin) for pin in pins) + "\n]\n")

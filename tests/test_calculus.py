@@ -1,6 +1,7 @@
 """Tests for the branch derivatives, the P_n recurrence, the primitive,
 and the integrals."""
 
+import contextlib
 import math
 import os
 import random
@@ -22,7 +23,7 @@ from pqlambert.core import (
     SingularityError,
     branch_constants,
 )
-from pqlambert.branches import psi
+from pqlambert.branches import psi, psi_closed_form
 from pqlambert.calculus import (
     _QUAD_MIN_DOUBLES,
     _tanh_sinh,
@@ -269,6 +270,53 @@ class TestPsiPrimitive:
         # below f_min there is no branch value; the branch-point limit is not one
         with pytest.raises(DomainError):
             psi_primitive(0.5, branch, x)
+
+
+class TestBranchPointContract:
+    """The band x - f_min <= 8*eps*|f_min| is the branch point for psi and
+    for everything that takes psi's value: nowhere else, and not where f_min
+    rounds to -0.0 (a = 5e-324), where x = +-0 lies on the principal root 0."""
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-12, 0.37, AsymmetryParam.from_rational(1, 3),
+                                   0.999, 1.0 - 2.0 ** -52])
+    def test_band_is_the_branch_point_everywhere(self, a):
+        # psi is w_min, psi' singular, the primitive its branch-point limit
+        # and the closed form w_min, in the band and only there
+        aa = getattr(a, "a", a)
+        bc = branch_constants(aa)
+        one_m = 1.0 - aa * aa
+        x, xs = bc.f_min, [0.0, -0.0]
+        for _ in range(41):
+            xs.append(x)
+            x = math.nextafter(x, math.inf)
+        for branch, x in [(b, x) for b in (P, LO) for x in xs if b is P or x < 0.0]:
+            in_band = x - bc.f_min <= 8.0 * math.ulp(1.0) * abs(bc.f_min) and bc.f_min != 0.0
+            w = psi(a, branch, x)
+            assert (w == bc.w_min) is in_band, (branch, x)
+            if in_band:
+                with pytest.raises(SingularityError):
+                    psi_derivative(a, branch, x, 1)
+                want = bc.f_min * (bc.w_min - 2.0 / one_m)
+            else:
+                with contextlib.suppress(RangeError):  # 1/f'(psi) overflows at a tiny a
+                    psi_derivative(a, branch, x, 1)
+                # the primitive's own sum at psi(x) (its a -> 0 form at a subnormal a)
+                if x == 0.0:
+                    want = aa / one_m
+                else:
+                    coth_term = x / w if aa < sys.float_info.min else aa * (x / math.tanh(aa * w))
+                    want = x * w - x / one_m + coth_term / one_m
+            assert psi_primitive(a, branch, x) == want, (branch, x)
+            if isinstance(a, AsymmetryParam):
+                assert (psi_closed_form(a, branch, x) == bc.w_min) is in_band, (branch, x)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0])
+    def test_zero_where_f_min_rounds_to_zero(self, x):
+        # f_min = -0.0 at a = 5e-324, yet x = +-0 lies above the true f_min:
+        # psi is 0 there, psi' = 1/a overflows and the primitive is a/(1-a^2)
+        with pytest.raises(RangeError):
+            psi_derivative(5e-324, P, x, 1)
+        assert psi_primitive(5e-324, P, x) == 5e-324
 
 
 class TestIntegralPsi:

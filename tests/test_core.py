@@ -485,6 +485,19 @@ class TestLambertW:
         with pytest.raises(DomainError):
             lambert_w(LO, -0.5)
 
+    @pytest.mark.parametrize("branch", [P, LO])
+    def test_tolerance_below_the_branch_point(self, branch):
+        # e*x + 1 down to -32 eps counts as the branch point: -1/e and the
+        # 47 doubles below it return -1, the 48th below is off the domain
+        x, below = -math.exp(-1.0), []
+        for _ in range(49):
+            below.append(x)
+            x = math.nextafter(x, -math.inf)
+        for x in below[:48]:
+            assert lambert_w(branch, x) == -1.0, x
+        with pytest.raises(DomainError):
+            lambert_w(branch, below[48])
+
     def test_branch_sides(self):
         assert lambert_w(P, -0.1) >= -1.0
         assert lambert_w(LO, -0.1) <= -1.0

@@ -283,6 +283,9 @@ class TestBranchPointSeries:
     def test_validation(self):
         with pytest.raises(ValueError):
             branch_point_series(0.5, "psi0", 13)
+        below = math.nextafter(branch_constants(0.5).f_min, -math.inf)
+        with pytest.raises(DomainError):
+            branch_point_series(0.5, "psi0", 6).evaluate(below)
         with pytest.raises(UnsupportedError):
             branch_point_series(0.5, "nope", 5)
 
@@ -318,6 +321,16 @@ class TestAsymptotics:
         # value was -inf or a bare OverflowError
         with pytest.raises(RangeError):
             asymptotic_psi0(a, x)
+
+    @pytest.mark.parametrize("kind, fn, x", [
+        (SeriesKind.ASYMPTOTIC_PSI0, asymptotic_psi0, 1.7e308),
+        (SeriesKind.ASYMPTOTIC_PSI0, asymptotic_psi0, 1.7976931348623157e308),
+        (SeriesKind.ASYMPTOTIC_PSI1, asymptotic_psi1, -1e-3)])
+    def test_expansion_object_evaluates_as_the_function(self, kind, fn, x):
+        # at the psi0 points 2x overflows, and log(2x) is taken as log(x) + log 2
+        tail = series.asymptotic_tail_coeffs(0.5, kind.value.removeprefix("asymptotic_"), 3)
+        se = series.SeriesExpansion(kind, AsymmetryParam(0.5), tail, 3, "", "", math.inf)
+        assert se.evaluate(x) == fn(0.5, x)
 
     def test_term_count_and_domain_validation(self):
         with pytest.raises(ValueError):
@@ -410,11 +423,6 @@ class TestBounds:
             ref = mp_branch_root(0.5, x, value)
         assert abs(value - float(ref)) <= math.ulp(value)
         assert asymptotic_psi0(0.5, x) == pytest.approx(value, rel=1e-15)
-        se = series.SeriesExpansion(
-            SeriesKind.ASYMPTOTIC_PSI0, AsymmetryParam(0.5),
-            series.asymptotic_tail_coeffs(0.5, "psi0", 3), 3, "y = (2x)^(-2a/(1+a))",
-            "log(2x)/(1+a)", math.inf)
-        assert se.evaluate(x) == asymptotic_psi0(0.5, x)
 
     @pytest.mark.parametrize("a", [0.1, 0.2, 0.45, 0.9, 0.9999])
     @pytest.mark.parametrize("x", [1.7e308, 1.75e308, 1.7976931348623157e308])
