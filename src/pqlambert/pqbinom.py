@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 from collections import namedtuple
+from functools import partial
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _LAZY, branches
@@ -23,6 +24,7 @@ __all__ = list(_LAZY["pqbinom"])
 
 N_MAX = 2 ** 24          # practical cap for building full distributions
 _EXP_FLOOR = -746.0      # exp(x) rounds to +0.0 for every x below about -745.13
+_BLOCK = 2 ** 14         # log-ratios per block of the peak scan, a few in L2 cache
 
 
 class DegenerateRatioError(DomainError):
@@ -44,6 +46,8 @@ class PqParams(namedtuple("PqParams", "n p q provenance")):
         _check_int("n", self.n, 1)
         if not (self.p > 0.0 and self.q > 0.0):
             raise DomainError("p and q must be positive")
+        if not (math.isfinite(self.p) and math.isfinite(self.q)):
+            raise DomainError("p and q must be finite")
         if self.p == self.q:
             raise DomainError("p = q is degenerate (the definition divides by p^j - q^j)")
         if self.provenance is not None:
@@ -117,13 +121,13 @@ def _log_abs_diff_terms(log_hi: float, log_ratio: float, first: int, count: int)
     ``log_ratio`` = log(lo/hi) < 0.  The second term switches between
     log(-expm1(t)) and log1p(-exp(t)) at t = -log(2) to stay accurate for
     ratios near 1 and near 0 alike; t = m*log_ratio descends, so the first
-    form covers a prefix and the second the rest.  m becomes m*log(hi) in
-    place, so the call holds two arrays of ``count`` entries.
+    form covers a prefix and the second the rest.  The call holds one
+    array of ``count`` entries: m*log(hi) is added _BLOCK entries at a time.
     """
     import numpy as np
 
-    m = np.arange(first, first + count, dtype=float)
-    out = m * log_ratio
+    out = np.arange(first, first + count, dtype=float)
+    out *= log_ratio
     cut = bisect.bisect_left(out, True, key=lambda t: t <= -_LN2)
     near, far = out[:cut], out[cut:]
     np.expm1(near, out=near)
@@ -132,8 +136,9 @@ def _log_abs_diff_terms(log_hi: float, log_ratio: float, first: int, count: int)
     np.exp(far, out=far)
     np.negative(far, out=far)
     np.log1p(far, out=far)
-    m *= log_hi
-    out += m
+    for lo in range(0, count, _BLOCK):
+        hi = min(lo + _BLOCK, count)
+        out[lo:hi] += np.arange(first + lo, first + hi, dtype=float) * log_hi
     return out
 
 
@@ -165,37 +170,55 @@ def log_pq_binomial(params: PqParams, k: int) -> float:
     return float(np.sum(num - den))
 
 
-def _find_peaks(ratios: np.ndarray, tol: float) -> tuple:
-    """Local maxima of a sequence C(0..n) from its adjacent log-ratios.
+def _scan_peaks(blocks, tol: float) -> tuple:
+    """Local maxima of a sequence C(0..n) from its adjacent log-ratios, in blocks.
 
-    ``ratios[i]`` = log C(i+1)/C(i).  Ratios within ``tol`` of zero count
-    as flat, and a rise followed by a fall, with or without a flat run
+    Ratio i is log C(i+1)/C(i).  Ratios within ``tol`` of zero count as
+    flat, and a rise followed by a fall, with or without a flat run
     between them, makes one peak.  Within the flat run the peak settles
     on the first index whose next ratio is not positive, so exact ties
-    keep the smallest index.  Boundary maxima count.
+    keep the smallest index.  Boundary maxima count.  A block edge carries
+    the last rise or fall and where the flat run after a rise settles.
     """
     import numpy as np
 
-    # trend[i+1] is the sign of ratios[i]; a rise before C(0) and a fall
-    # after C(n) make boundary maxima look like interior ones
-    trend = np.empty(ratios.size + 2, dtype=np.int8)
-    trend[0], trend[-1] = 1, -1
-    np.subtract((ratios > tol).view(np.int8), (ratios < -tol).view(np.int8),
-                out=trend[1:-1])
-    nz = np.flatnonzero(trend)
-    s = trend[nz]
-    at = np.flatnonzero((s[:-1] == 1) & (s[1:] == -1))
     peaks = []
-    for start, stop in zip(nz[at].tolist(), (nz[at + 1] - 1).tolist()):
-        nonpos = np.flatnonzero(ratios[start:stop] <= 0.0)
-        peaks.append(start + int(nonpos[0]) if nonpos.size else stop)
+    rising, settle, lo = True, None, 0  # a rise before C(0) counts
+    for r in blocks:
+        up = r > tol
+        nz = np.flatnonzero(up | (r < -tol))
+        up = up[nz]
+        # each fall right after a rise ends a peak at the run's first
+        # ratio <= 0, which is at the latest the falling one itself
+        for f in np.flatnonzero(~up & np.append(rising, up[:-1])).tolist():
+            start = int(nz[f - 1]) + 1 if f else 0
+            if f or settle is None:
+                settle = lo + start + int(np.argmax(r[start:nz[f] + 1] <= 0.0))
+            peaks.append(settle)
+        if nz.size:
+            rising, settle = bool(up[-1]), None
+        if rising and settle is None:
+            start = int(nz[-1]) + 1 if nz.size else 0
+            nonpos = np.flatnonzero(r[start:] <= 0.0)
+            settle = lo + start + int(nonpos[0]) if nonpos.size else None
+        lo += r.size
+    if rising:  # a fall after C(n)
+        peaks.append(lo if settle is None else settle)
     return tuple(peaks)
 
 
-def _factor_terms(params: PqParams) -> tuple[np.ndarray, float]:
-    """The factor terms d[m-1] = log|hi^m - lo^m|, m = 1..n, and the
-    tolerance of the adjacent log-ratios they give.
+def _ratio_blocks(n: int, terms):
+    """The adjacent log-ratios d[n-1-i] - d[i], i = 0..n-1, _BLOCK at a
+    time, where terms(m, count) returns d[m-1:m-1+count]."""
+    for lo in range(0, n, _BLOCK):
+        count = min(_BLOCK, n - lo)
+        yield terms(n - lo - count + 1, count)[::-1] - terms(lo + 1, count)
 
+
+def _factor_logs(params: PqParams) -> tuple[float, float, float]:
+    """log hi, log(lo/hi) and the flat tolerance of the adjacent log-ratios.
+
+    The factor terms are d[m-1] = log|hi^m - lo^m|, m = 1..n, and
     log C(k)/C(k-1) = d[n-k] - d[k-1] is one subtraction, exactly
     antisymmetric and free of any prefix-sum drift; ratios within 4 ulps
     of the largest term magnitude count as flat.
@@ -207,18 +230,10 @@ def _factor_terms(params: PqParams) -> tuple[np.ndarray, float]:
     lo = min(params.p, params.q)
     log_hi = math.log(hi)
     log_ratio = _log_ratio(lo, hi)
-    d = _log_abs_diff_terms(log_hi, log_ratio, 1, n)
     # each d[m] is good to a few ulps of its larger summand, at most
     # n*|log hi| or, at m = 1, |log(1 - lo/hi)|
     scale = max(n * abs(log_hi), abs(math.log(-math.expm1(log_ratio))))
-    return d, 4.0 * math.ulp(scale)
-
-
-def _log_ratios(params: PqParams) -> tuple[np.ndarray, float]:
-    """The adjacent log-ratios log C(k+1)/C(k) and their flat tolerance,
-    with the factor terms freed before the ratios are scanned."""
-    d, tol = _factor_terms(params)
-    return d[::-1] - d, tol
+    return log_hi, log_ratio, 4.0 * math.ulp(scale)
 
 
 def build_distribution(params: PqParams) -> PqDistribution:
@@ -227,13 +242,16 @@ def build_distribution(params: PqParams) -> PqDistribution:
     With d[m-1] = log|hi^m - lo^m|, the log-coefficients come from prefix
     sums S of d: log C(k) = S(n) - S(n-k) - S(k).  This is O(n),
     overflow-free, and bit-exactly symmetric under k <-> n-k.  The peaks
-    come from the adjacent log-ratios (see _factor_terms).
+    come from the adjacent log-ratios (see _factor_logs), scanned in
+    blocks sliced from d, so the working set peaks at about 2.25 arrays
+    of n+1 doubles, in the log-sum-exp.
     """
     import numpy as np
 
     n = params.n
-    d, tol = _factor_terms(params)
-    peaks = _find_peaks(d[::-1] - d, tol)
+    log_hi, log_ratio, tol = _factor_logs(params)
+    d = _log_abs_diff_terms(log_hi, log_ratio, 1, n)
+    peaks = _scan_peaks(_ratio_blocks(n, lambda m, count: d[m - 1:m - 1 + count]), tol)
     s = np.empty(n + 1)
     s[0] = 0.0
     np.cumsum(d, out=s[1:])
@@ -291,12 +309,14 @@ def peak_drift(n: int, a, z: float) -> tuple[int, float]:
 
     Takes the peaks of the distribution at y = omega(a, z), the same as
     build_distribution's, from the log-ratio scan alone, and measures
-    |k_peak - n(1-a)/2| / n; the offset shrinks toward 0 as n grows.  The
-    factor terms are freed before the scan, so the working set is the
-    ratios and the scan's index array: about 2.5 arrays of n+1 doubles.
+    |k_peak - n(1-a)/2| / n; the offset shrinks toward 0 as n grows.  Each
+    block of factor terms is computed when the scan reaches it, bit for
+    bit the slice build_distribution takes, so the working set is a few
+    blocks, whatever n is.
     """
     ap = as_param(a)
-    peaks = _find_peaks(*_log_ratios(PqParams.from_transition(n, ap, z)))
+    log_hi, log_ratio, tol = _factor_logs(PqParams.from_transition(n, ap, z))
+    peaks = _scan_peaks(_ratio_blocks(n, partial(_log_abs_diff_terms, log_hi, log_ratio)), tol)
     k_peak = min(peaks)
     offset = abs(k_peak - n * (1.0 - ap.a) / 2.0) / n
     return k_peak, offset

@@ -355,6 +355,15 @@ class TestPqdist:
                                    "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("p, q", [("inf", "0.5"), ("0.5", "inf")])
+    def test_infinite_p_or_q_rejected(self, runner, tmp_path, p, q):
+        out = tmp_path / "x.csv"
+        res = runner.invoke(main, ["pqdist", "--n", "8", "--p", p, "--q", q,
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "p and q must be finite" in res.output
+        assert not out.exists()
+
 
 class TestSelfcheck:
     def test_fast_passes_with_enough_suites(self, runner):

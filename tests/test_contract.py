@@ -7,6 +7,7 @@ import math
 import sys
 
 import numpy as np
+import pytest
 
 import pqlambert
 from pqlambert.core import (AccuracyError, AsymmetryParam, BranchId, ConvergenceError,
@@ -20,6 +21,8 @@ AS = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -52, 1.0]
 RATIONALS = [AsymmetryParam.from_rational(m, d) for m, d in ((1, 3), (1, 2), (1, 5), (3, 5), (1, 7))]
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, _DBL_MAX, -_DBL_MAX,
          math.inf, -math.inf, math.nan]
+PQ_EDGES = [_DBL_MAX, 5e-324]          # the finite ends of p and q
+PQ_NON_FINITE = [math.inf, -math.inf, math.nan]
 
 
 def _near_f_min(a):
@@ -96,10 +99,19 @@ def _pq_calls():
                 params = pqlambert.PqParams.from_transition(8, a, z)
             except _LIBRARY_ERRORS:
                 continue
-            out += [(pqlambert.build_distribution, (params,), None),
-                    (pqlambert.log_pq_binomial, (params, 3), None),
-                    (pqlambert.equal_ratio_residual, (params, 3), None)]
+            out += _pq_functions(params)
+    for edge in PQ_EDGES:
+        for other in PQ_EDGES + [0.5, 1.0, 2.0]:
+            if other != edge:
+                out += _pq_functions(pqlambert.PqParams(8, edge, other))
+                out += _pq_functions(pqlambert.PqParams(8, other, edge))
     return out
+
+
+def _pq_functions(params):
+    return [(pqlambert.build_distribution, (params,), None),
+            (pqlambert.log_pq_binomial, (params, 3), None),
+            (pqlambert.equal_ratio_residual, (params, 3), None)]
 
 
 def _floats(value):
@@ -143,6 +155,27 @@ def test_every_exported_function_keeps_the_contract():
 
 def test_pq_functions_keep_the_contract():
     assert not _violations(_pq_calls())
+
+
+@pytest.mark.parametrize("bad", PQ_NON_FINITE)
+def test_pq_params_reject_non_finite_p_and_q(bad):
+    for p, q in ((bad, 0.5), (0.5, bad), (bad, _DBL_MAX), (5e-324, bad)):
+        with pytest.raises(pqlambert.DomainError):
+            pqlambert.PqParams(8, p, q)
+
+
+@pytest.mark.parametrize("p, q, log_c3, log_norm, peaks", [
+    (1e308, 0.5, 10637.943129632491, 11347.139338274661, (4,)),
+    (_DBL_MAX, 0.5, 10646.74069340076, 11356.523406294144, (4,)),
+    (0.5, _DBL_MAX, 10646.74069340076, 11356.523406294144, (4,)),
+    (5e-324, 0.5, -10.39720770839918, 0.7012093811032143, (0, 8)),
+    (5e-324, 2.0, 10.39720770839918, 11.845977573902449, (4,)),
+])
+def test_pq_values_at_the_finite_ends(p, q, log_c3, log_norm, peaks):
+    params = pqlambert.PqParams(8, p, q)
+    assert pqlambert.log_pq_binomial(params, 3) == log_c3
+    dist = pqlambert.build_distribution(params)
+    assert (dist.log_norm, dist.peaks) == (log_norm, peaks)
 
 
 def test_the_grid_calls_every_exported_function():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,11 @@ from pqlambert.branches import omega, omega_finite_n
 from pqlambert.pqbinom import (
     DegenerateRatioError,
     PqParams,
-    _find_peaks,
+    _BLOCK,
+    _factor_logs,
+    _log_abs_diff_terms,
+    _ratio_blocks,
+    _scan_peaks,
     build_distribution,
     equal_ratio_residual,
     log_pq_binomial,
@@ -26,9 +31,9 @@ from pqlambert.pqbinom import (
 A_HALF = AsymmetryParam.from_rational(1, 2)
 
 
-def seed_log_coeffs(n, p, q):
-    """Reference copy of the original builder's formula: masked factor
-    terms, prefix sums, gathered half, mirrored upper half, log-sum-exp."""
+def seed_factor_terms(n, p, q):
+    """Reference copy of the original builder's masked factor terms
+    d[m-1] = log|hi^m - lo^m|, m = 1..n."""
     hi, lo = max(p, q), min(p, q)
     log_hi = math.log(hi)
     log_ratio = math.log(lo) - math.log(hi)
@@ -38,7 +43,13 @@ def seed_log_coeffs(n, p, q):
     near = t > -math.log(2.0)
     out[near] = np.log(-np.expm1(t[near]))
     out[~near] = np.log1p(-np.exp(t[~near]))
-    d = m * log_hi + out
+    return m * log_hi + out
+
+
+def seed_log_coeffs(n, p, q):
+    """Reference copy of the original builder's formula: masked factor
+    terms, prefix sums, gathered half, mirrored upper half, log-sum-exp."""
+    d = seed_factor_terms(n, p, q)
     s = np.concatenate(([0.0], np.cumsum(d)))
     k = np.arange(0, n // 2 + 1)
     half = s[n] - s[n - k] - s[k]
@@ -63,6 +74,44 @@ def loop_peaks(ratios, tol):
             settle = [i for i in range(k, j) if ratios[i] <= 0.0]
             peaks.append(settle[0] if settle else j)
     return tuple(peaks)
+
+
+def whole_array_peaks(ratios, tol):
+    """Reference copy of the whole-array scan that the streamed one
+    replaced: an int8 trend with boundary sentinels and the index array
+    of its nonzero entries."""
+    trend = np.empty(ratios.size + 2, dtype=np.int8)
+    trend[0], trend[-1] = 1, -1
+    np.subtract((ratios > tol).view(np.int8), (ratios < -tol).view(np.int8),
+                out=trend[1:-1])
+    nz = np.flatnonzero(trend)
+    s = trend[nz]
+    at = np.flatnonzero((s[:-1] == 1) & (s[1:] == -1))
+    peaks = []
+    for start, stop in zip(nz[at].tolist(), (nz[at + 1] - 1).tolist()):
+        nonpos = np.flatnonzero(ratios[start:stop] <= 0.0)
+        peaks.append(start + int(nonpos[0]) if nonpos.size else stop)
+    return tuple(peaks)
+
+
+def traced_peak(fn, *args):
+    """The peak of tracemalloc's traced memory during one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scan(ratios, tol, cuts=()):
+    """The streamed scan over ``ratios`` handed over as blocks split at ``cuts``."""
+    return _scan_peaks(np.split(np.asarray(ratios, dtype=float), list(cuts)), tol)
+
+
+def every_split(size):
+    """One block, each single cut, and one block per ratio."""
+    return [()] + [(c,) for c in range(1, size)] + [range(1, size)]
 
 
 def mp_log_ratio(n, p, q, k, mp):
@@ -188,6 +237,15 @@ class TestDistribution:
         with pytest.raises(DomainError):
             build_distribution(PqParams(n=2 ** 24 + 1, p=1.1, q=0.9))
 
+    def test_working_set(self):
+        # the factor terms, then the prefix sums beside them, then the
+        # log-coefficients beside the log-sum-exp terms and its masks:
+        # about 2.25 arrays of n+1 doubles; the scan adds only blocks
+        n = 2 ** 20
+        params = PqParams.from_transition(n, 0.37, -2.0)
+        build_distribution(PqParams(n=64, p=1.1, q=0.9))  # imports outside the trace
+        assert traced_peak(build_distribution, params) < 2.4 * 8 * (n + 1)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 4097, 2 ** 16])
     def test_bit_identical_to_seed_formula(self, n):
         cases = [(1.1, 0.9), (0.2, 3.0), (1.0, 0.5), (1.0001, 0.9999)]
@@ -260,22 +318,101 @@ class TestPeakScan:
 
     @pytest.mark.parametrize("ratios", CASES)
     def test_matches_loop_reference(self, ratios):
-        arr = np.array(ratios)
-        assert _find_peaks(arr, 1e-13) == loop_peaks(ratios, 1e-13)
+        for cuts in every_split(len(ratios)):
+            assert scan(ratios, 1e-13, cuts) == loop_peaks(ratios, 1e-13), cuts
 
     def test_random_sign_patterns(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             size = int(rng.integers(1, 40))
             ratios = rng.integers(-2, 3, size=size) * 0.5 + rng.normal(0.0, 0.1, size)
-            assert _find_peaks(ratios, 0.5) == loop_peaks(ratios.tolist(), 0.5)
+            for cuts in every_split(size):
+                assert scan(ratios, 0.5, cuts) == loop_peaks(ratios.tolist(), 0.5), cuts
 
     def test_handcrafted_expectations(self):
-        assert _find_peaks(np.array([0.0]), 0.0) == (0,)
-        assert _find_peaks(np.array([-1.0, -2.0, 0.5, 1.0]), 0.0) == (0, 4)
-        assert _find_peaks(np.array([1.0, 2.0, 0.0, 0.0, -1.0]), 0.0) == (2,)
-        assert _find_peaks(np.array([1.0, 1e-15, -1e-15, -1.0]), 1e-13) == (2,)
-        assert _find_peaks(np.array([1e-15, 1e-15]), 1e-13) == (2,)
+        for ratios, tol, peaks in (([0.0], 0.0, (0,)),
+                                   ([-1.0, -2.0, 0.5, 1.0], 0.0, (0, 4)),
+                                   ([1.0, 2.0, 0.0, 0.0, -1.0], 0.0, (2,)),
+                                   ([1.0, 1e-15, -1e-15, -1.0], 1e-13, (2,)),
+                                   ([1e-15, 1e-15], 1e-13, (2,))):
+            for cuts in every_split(len(ratios)):
+                assert scan(ratios, tol, cuts) == peaks, (ratios, cuts)
+
+
+class TestPeakScanBlockEdges:
+    """Real distributions whose peaks, flat tops or centres sit on an edge
+    between two scan blocks, one entry before it or one after it."""
+
+    B = _BLOCK
+
+    @staticmethod
+    def reference_peaks(params):
+        """The whole-array scan over the original builder's factor terms."""
+        d = seed_factor_terms(params.n, params.p, params.q)
+        return whole_array_peaks(d[::-1] - d, _factor_logs(params)[2])
+
+    @staticmethod
+    def on_demand_peaks(params):
+        """The scan over factor terms computed a block at a time, as
+        peak_drift reads them."""
+        log_hi, log_ratio, tol = _factor_logs(params)
+        terms = partial(_log_abs_diff_terms, log_hi, log_ratio)
+        return _scan_peaks(_ratio_blocks(params.n, terms), tol)
+
+    def check_transition(self, n, a, z):
+        params = PqParams.from_transition(n, a, z)
+        peaks = build_distribution(params).peaks
+        assert peaks == self.reference_peaks(params), (n, a, z)
+        assert peak_drift(n, a, z)[0] == min(peaks), (n, a, z)
+        return peaks
+
+    def check_params(self, params):
+        peaks = build_distribution(params).peaks
+        assert peaks == self.reference_peaks(params) == self.on_demand_peaks(params), params
+        return peaks
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1, 2 * _BLOCK + 1])
+    def test_lengths_around_the_block(self, shift):
+        n = self.B + shift
+        for a, z in ((0.37, -2.0), (A_HALF, -5.0), (0.0, -3.0), (0.9, -0.5), (1e-8, -4.0)):
+            self.check_transition(n, a, z)
+        for p, q in ((1.1, 0.9), (1.0, 0.5), (1.001, 0.999), (0.2, 3.0)):
+            self.check_params(PqParams(n, p, q))
+
+    @pytest.mark.parametrize("n, a, lower", [
+        (3 * _BLOCK + 1, 0.3332126, _BLOCK - 1),
+        (3 * _BLOCK + 1, 0.3331824, _BLOCK),
+        (3 * _BLOCK + 1, 0.3331219, _BLOCK + 1),
+        (5 * _BLOCK + 1, 0.1998550, 2 * _BLOCK - 1),
+        (5 * _BLOCK + 1, 0.1998248, 2 * _BLOCK),
+        (5 * _BLOCK + 1, 0.1997946, 2 * _BLOCK + 1),
+    ])
+    def test_lower_peak_on_an_edge(self, n, a, lower):
+        assert min(self.check_transition(n, a, -2.0)) == lower
+
+    @pytest.mark.parametrize("n, q, top", [
+        # p = 1: the ratios fall flat long before the top, which sits
+        # where lo^m underflows, so the flat run crosses the edge
+        (3 * _BLOCK + 1, 0.95553852, _BLOCK - 1),
+        (3 * _BLOCK + 1, 0.95554042, _BLOCK),
+        (3 * _BLOCK + 1, 0.95554232, _BLOCK + 1),
+        # here the whole second block lies inside the flat run
+        (5 * _BLOCK + 1, 0.97751672, 2 * _BLOCK - 1),
+        (5 * _BLOCK + 1, 0.97751719, 2 * _BLOCK),
+        (5 * _BLOCK + 1, 0.97751767, 2 * _BLOCK + 1),
+    ])
+    def test_flat_top_settles_on_an_edge(self, n, q, top):
+        assert self.check_params(PqParams(n, 1.0, q)) == (top,)
+
+    @pytest.mark.parametrize("shift", [-1, 1, 3])
+    def test_centre_of_odd_n_on_an_edge(self, shift):
+        # the centre ratio of an odd n is exactly 0: a tie on the top of a
+        # unimodal distribution, a flat step in the valley of a bimodal one
+        n = 2 * self.B + shift
+        centre = (n - 1) // 2
+        assert self.check_params(PqParams(n, 1.001, 0.999)) == (centre,)
+        lower, upper = self.check_transition(n, 0.0, -2.0)
+        assert lower < centre < upper
 
 
 class TestEqualRatioResidual:
@@ -367,6 +504,16 @@ class TestPeakDrift:
         finally:
             tracemalloc.stop()
         assert peak < 2.75 * 8 * (n + 1)
+
+    def test_working_set_is_a_few_blocks(self):
+        # every block of factor terms is computed when the scan reaches it,
+        # so the traced peak does not grow with n
+        peak_drift(64, 0.37, -2.0)  # imports and caches outside the trace
+        small = traced_peak(peak_drift, 2 ** 18, 0.37, -2.0)
+        n = 2 ** 20
+        peak = traced_peak(peak_drift, n, 0.37, -2.0)
+        assert peak < 0.25 * 8 * (n + 1)
+        assert peak <= small + 1e6
 
     def test_offset_shrinks_with_n(self):
         offsets = [peak_drift(2 ** k, A_HALF, -5.0)[1] for k in (10, 12, 14)]
