@@ -4,8 +4,11 @@
 (both branches, every seed region), ``omega``, ``omega_finite_n`` and
 ``psi_derivative`` (orders 1-8), then for a second seeded grid of calls
 to ``psi_primitive`` and ``psi_closed_form`` (the five rationals, written
-``"num/den"``) that also steps x across the branch-point band, the exact
-result as ``float.hex`` (or the name of the exception raised).  The test
+``"num/den"``) that also steps x across the branch-point band, and for a
+third of ``param_alpha`` and ``omega_closed_form``, the callers of
+``core._log_abs_em1``, with arguments on both sides of its switch points,
+the exact result as ``float.hex`` (a list of them for the fields of an
+``AlphaPoint``, or the name of the exception raised).  The test
 replays every call and requires the same bits, so a refactor of the
 solve path that claims to change no floating-point operation is held to
 that claim.
@@ -27,14 +30,16 @@ import random
 import pytest
 
 from pqlambert.branches import omega, omega_finite_n, psi
-from pqlambert.branches import psi_closed_form
+from pqlambert.branches import omega_closed_form, psi_closed_form
 from pqlambert.calculus import psi_derivative, psi_primitive
 from pqlambert.core import AsymmetryParam, BranchId, branch_constants
+from pqlambert.parametrize import param_alpha
 
 PIN_FILE = os.path.join(os.path.dirname(__file__), "bit_identity_pins.json")
 FUNCTIONS = {"psi": psi, "omega": omega, "omega_finite_n": omega_finite_n,
              "psi_derivative": psi_derivative, "psi_primitive": psi_primitive,
-             "psi_closed_form": psi_closed_form}
+             "psi_closed_form": psi_closed_form, "param_alpha": param_alpha,
+             "omega_closed_form": omega_closed_form}
 BRANCHES = {"principal": BranchId.PRINCIPAL, "lower": BranchId.LOWER}
 LEAKS = ("!OverflowError", "!ZeroDivisionError", float.hex(math.inf))
 
@@ -118,6 +123,40 @@ def primitive_closed_form_grid(seed=20261020, count=12, draws=3):
     return calls
 
 
+def _near(t, count=3):
+    """t and the doubles up to count ulps either side of it."""
+    below, above = [t], [t]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+def log_abs_em1_caller_grid(seed=20261021, count=8):
+    """The pinned calls of param_alpha and omega_closed_form: the rationals
+    1/3, 1/2 and 1/5 and drawn a, with alpha and z on both sides of the
+    switch points of log|e^t - 1| (t = 33 in param_alpha, t = -ln 2 in the
+    1/3 transition)."""
+    rng = random.Random(seed)
+    rationals = ("1/3", "1/2", "1/5")
+    calls = []
+    for a in rationals + tuple(_draw_a(rng) for _ in range(count)):
+        aa = _arg(a).a if isinstance(a, str) else a
+        alphas = [1.0 + _log_uniform(rng, -12, -1), rng.uniform(1.1, 10.0),
+                  _log_uniform(rng, 1, 300), 1e300]
+        for c in (1.0 - aa, 1.0 + aa, 2.0 * aa):  # t = c*log(alpha) at 33
+            if 33.0 / c < 709.0:
+                alphas += [math.exp(la) for la in _near(33.0 / c, 2)]
+        calls += [("param_alpha", [a, alpha]) for alpha in alphas]
+    for a in rationals:
+        w_min = branch_constants(_arg(a).a).w_min
+        zs = [-_log_uniform(rng, -300, 3) for _ in range(8)]
+        zs += [w_min * rng.uniform(0.5, 2.0), -5e-324, -1e-310, -745.0, -1200.0]
+        zs += _near(-1.5 * math.log(2.0))  # 2z/3 at -ln 2
+        calls += [("omega_closed_form", [a, z]) for z in zs]
+    return calls
+
+
 def _encode(value):
     return float.hex(value) if isinstance(value, float) else value
 
@@ -138,9 +177,11 @@ def _arg(value):
 def _run(name, args):
     args = [_arg(v) for v in args]
     try:
-        return float.hex(FUNCTIONS[name](*args))
+        value = FUNCTIONS[name](*args)
     except Exception as exc:  # the pin records which error a call raises
         return f"!{type(exc).__name__}"
+    # param_alpha's AlphaPoint is pinned field by field
+    return [float.hex(v) for v in value] if isinstance(value, tuple) else float.hex(value)
 
 
 def _load():
@@ -168,7 +209,7 @@ def test_results_are_bit_identical(name):
 
 def main():
     pins = [{"fn": name, "args": [_encode(v) for v in args], "result": _run(name, args)}
-            for name, args in grid() + primitive_closed_form_grid()]
+            for name, args in grid() + primitive_closed_form_grid() + log_abs_em1_caller_grid()]
     pins = [pin for pin in pins if pin["result"] not in LEAKS]
     with open(PIN_FILE, "w") as fh:
         fh.write("[\n" + ",\n".join(json.dumps(pin) for pin in pins) + "\n]\n")
