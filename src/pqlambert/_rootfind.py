@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import math
+from .core import ConvergenceError, _EPS
 
-from .core import ConvergenceError
-
-_EPS = math.ulp(1.0)
+_MAX_ITER = 100
 
 
-def newton_bracketed(fun, lo: float, hi: float, seed: float,
-                     increasing: bool, max_iter: int = 100) -> float:
+def newton_bracketed(fun, lo: float, hi: float, seed: float, increasing: bool) -> float:
     """Solve g(w) = 0 for monotone g on the bracket [lo, hi].
 
     ``fun(w)`` must return ``(g, dg)``.  ``increasing`` declares the
@@ -23,7 +20,7 @@ def newton_bracketed(fun, lo: float, hi: float, seed: float,
     sign = 1.0 if increasing else -1.0
     w = min(max(seed, lo), hi)
     dx = dx_old = abs(hi - lo)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         g, dg = fun(w)
         if g == 0.0:
             return w
@@ -42,4 +39,4 @@ def newton_bracketed(fun, lo: float, hi: float, seed: float,
             return cand
         w = cand
     raise ConvergenceError(
-        f"root iteration exceeded {max_iter} steps in [{lo!r}, {hi!r}]")
+        f"root iteration exceeded {_MAX_ITER} steps in [{lo!r}, {hi!r}]")

@@ -18,14 +18,17 @@ from .core import (
     _BAND,
     _LN2,
     _LOG_DBL_MAX,
+    _LOG_TINY,
     _LOWER,
     _PRINCIPAL,
+    _TINY,
     _a_value,
     _check_branch_domain,
     _check_int,
     _check_z,
     _constants_for,
     _f,
+    _log_abs_em1,
     _log_form,
     _lower_log,
     as_param,
@@ -44,7 +47,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
-_TINY = sys.float_info.min  # the least normal double
 _HALF_MAX = 0.5 * sys.float_info.max
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # hi has 32 zero bits
 
@@ -90,12 +92,11 @@ def _bp_seed(bc, t: float, sign: float, a: float) -> float:
 
 
 def _asym0_seed(a: float, x: float) -> float:
-    """Three-term large-x expansion of the principal branch."""
+    """Three-term large-x expansion of the principal branch, for 1 <= x <= DBL_MAX/2."""
     two_x = 2.0 * x
-    log_2x = math.log(two_x) if two_x < math.inf else math.log(x) + _LN2
     y = two_x ** (-2.0 * a / (1.0 + a))
     ap1 = 1.0 + a
-    return (log_2x / ap1 + y / ap1
+    return (math.log(two_x) / ap1 + y / ap1
             + (1.0 - 3.0 * a) * y * y / (2.0 * ap1 * ap1)
             + (10.0 * a * a - 7.0 * a + 1.0) * y ** 3 / (3.0 * ap1 ** 3))
 
@@ -359,7 +360,6 @@ def psi_closed_form(a, branch: BranchId, x: float) -> float:
     return w if math.isfinite(w) else _solve_branch(p.a, bc, branch, x)
 
 
-_LOG_TINY = math.log(sys.float_info.min)  # e^z is subnormal below this
 _EXP_M64 = math.exp(-64.0)
 
 
@@ -389,24 +389,19 @@ def omega(a, z: float) -> float:
         return lambert_w(_PRINCIPAL if z < -1.0 else _LOWER, z * math.exp(z))
     x = _f(aa, z)  # forward(aa, z): z < 0 is finite, so no check or overflow
     if z < bc.w_min:
-        if abs(x) < sys.float_info.min:
+        if abs(x) < _TINY:
             # x is subnormal and a > 2^-37 or z < -2^10, so y = W0(x/a) and
             # x/a < 3e-297 is its own W0; x/a in log form, free of x's underflow
             return -math.exp((1.0 - aa) * z + math.log(-math.expm1(2.0 * aa * z) / (2.0 * aa)))
         return _solve_branch(aa, bc, _PRINCIPAL, x)
-    if abs(x) < sys.float_info.min:
+    if abs(x) < _TINY:
         # |z| < 3e-297 here, so log|x/a| = log(-z) to rounding
         return _lower_log(aa, math.log(-z))
     return _solve_branch(aa, bc, _LOWER, x)
 
 
-def _log1m_exp(u: float) -> float:
-    """log(1 - exp(u)) for u < 0, accurate for u near 0 and far below it."""
-    return math.log(-math.expm1(u)) if u > -_LN2 else math.log1p(-math.exp(u))
-
-
 def _omega_13(z: float) -> float:
-    return 1.5 * _log1m_exp(2.0 * z / 3.0)
+    return 1.5 * _log_abs_em1(2.0 * z / 3.0)
 
 
 def _omega_12(z: float) -> float:
@@ -469,7 +464,7 @@ def omega_finite_n(n: int, a, z: float) -> float:
         raise DomainError(f"k = round(n(1-a)/2) = {k} outside [1, n//2]")
     a_n = (n + 1 - 2 * k) / (n + 1)
     # v(z); where s = 2z/n is subnormal, log1p(s) = s and (n+1)z/n rounds once
-    w = omega(a_n, 0.5 * (n + 1) * math.log1p(s) if s < -sys.float_info.min else (n + 1) * z / n)
+    w = omega(a_n, 0.5 * (n + 1) * math.log1p(s) if s < -_TINY else (n + 1) * z / n)
     t = 2.0 * w / (n + 1)
     # below |t| = 1e-20 expm1(t) = t, and n*w/(n+1) keeps a subnormal w's bits
     return 0.5 * n * math.expm1(t) if abs(t) > 1e-20 else n * w / (n + 1)

@@ -6,7 +6,6 @@ numeric quadrature for the transition-function integral identity."""
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -18,6 +17,7 @@ from .core import (
     DomainError,
     RangeError,
     SingularityError,
+    _TINY,
     _a_value,
     _check_branch_domain,
     _check_int,
@@ -162,7 +162,7 @@ def psi_primitive(a, branch: BranchId, x: float) -> float:
     if psiv == bc.w_min:  # the solver's branch-point band
         return bc.f_min * (bc.w_min - 2.0 / one_m)
     # at a subnormal a, a*psi keeps a few bits (or is 0): take the a -> 0 limit x/psi
-    coth_term = x / psiv if aa < sys.float_info.min else aa * (x / math.tanh(aa * psiv))
+    coth_term = x / psiv if aa < _TINY else aa * (x / math.tanh(aa * psiv))
     value = x * psiv - x / one_m + coth_term / one_m
     if math.isfinite(value):
         return value
@@ -185,7 +185,7 @@ def integral_psi(a, branch: BranchId) -> float:
     aa = _interior_a(a)
     bc = branch_constants(aa)
     f_min, unit = bc.f_min, 1.0
-    if f_min > -sys.float_info.min:
+    if f_min > -_TINY:
         f_min, unit = -math.exp(bc.w_min) / math.sqrt((1.0 - aa) * (1.0 + aa)), aa
     lead = aa / unit if _is_principal(branch) else 0.0
     return ((lead + 2.0 * f_min) / (1.0 - aa * aa) - f_min * bc.w_min) * unit

@@ -32,7 +32,16 @@ _EXP_MAX = 709.0  # exp(t) overflows double precision just above this
 _LOG_DBL_MAX = 709.78  # math.exp and math.expm1 overflow just above 709.7827
 _LN2 = math.log(2.0)
 _EPS = math.ulp(1.0)
+_TINY = sys.float_info.min  # the least normal double
+_LOG_TINY = math.log(sys.float_info.min)  # e^t is subnormal below this
 INV_E = math.exp(-1.0)
+
+
+def _log_abs_em1(t: float) -> float:
+    """log|e^t - 1| for t != 0, to full relative accuracy at both ends of each sign."""
+    if t < 0.0:
+        return math.log(-math.expm1(t)) if t > -_LN2 else math.log1p(-math.exp(t))
+    return math.log(math.expm1(t)) if t <= 33.0 else t + math.log1p(-math.exp(-t))
 
 
 class DomainError(ValueError):
@@ -487,7 +496,7 @@ def lambert_w(branch: BranchId, x: float) -> float:
         return _lambert_halley(x, max(w, -1.0), lo=-1.0)
     if x >= 0.0:
         raise DomainError(f"lower branch requires -1/e <= x < 0, got {x!r}")
-    if x > -sys.float_info.min:
+    if x > -_TINY:
         return _lower_log(0.0, math.log(-x))
     if d <= 0.3:
         pbp = math.sqrt(2.0 * d)

@@ -8,7 +8,7 @@ import math
 from typing import NamedTuple
 
 from . import _LAZY
-from .core import DomainError, _a_value, _interior_a, _real, forward
+from .core import DomainError, _a_value, _interior_a, _log_abs_em1, _real, forward
 
 __all__ = list(_LAZY["parametrize"])
 
@@ -43,13 +43,6 @@ def param_beta(a, beta: float) -> tuple[float, float]:
         raise DomainError(f"requires finite beta > 1, got {beta!r}")
     lb = math.log(beta)
     return forward(aa, lb), lb
-
-
-def _log_expm1(t: float) -> float:
-    """log(exp(t) - 1) for t > 0, stable for both tiny and huge t."""
-    if t > 33.0:
-        return t + math.log1p(-math.exp(-t))
-    return math.log(math.expm1(t))
 
 
 def param_alpha(a, alpha: float) -> AlphaPoint:
@@ -88,9 +81,9 @@ def param_alpha(a, alpha: float) -> AlphaPoint:
             psi0 = math.log1p(-rho) / ta if rho > 1e-17 else -rho_2a
             x = -aa * (rho_2a * math.exp((1.0 - aa) * psi0))
             return AlphaPoint(alpha=alpha, x=x, psi0=psi0, psi1=psi1)
-    le_low = _log_expm1((1.0 - aa) * la)
-    le_high = _log_expm1((1.0 + aa) * la)
-    le_mid = _log_expm1(2.0 * aa * la)
+    le_low = _log_abs_em1((1.0 - aa) * la)
+    le_high = _log_abs_em1((1.0 + aa) * la)
+    le_mid = _log_abs_em1(2.0 * aa * la)
     psi1 = (le_low - le_high) / (2.0 * aa)
     log_rho = le_mid - le_high
     rho = math.exp(log_rho)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from collections import namedtuple
 
 from . import _LAZY
@@ -20,6 +19,8 @@ from .core import (
     RangeError,
     UnsupportedError,
     _LN2,
+    _LOG_TINY,
+    _TINY,
     _check_branch_domain,
     _check_int,
     _finite,
@@ -31,8 +32,6 @@ from .core import (
 
 __all__ = list(_LAZY["series"])
 
-_LOG_TINY = math.log(sys.float_info.min)  # exp(t) is subnormal below this
-_TINY = sys.float_info.min  # the least normal double
 _SUBNORMAL_SCALE = 2.0 ** 600  # _local_coeffs' scale for a subnormal a
 
 TAYLOR_ORDER_MAX = 40   # double precision is exhausted well before this
