@@ -227,7 +227,8 @@ def _cbrt(t: float) -> float:
 def _psi_13(branch: BranchId, x: float) -> float:
     root = math.sqrt(max(2.0 * x + 0.25, 0.0))
     if branch is _PRINCIPAL:
-        return 1.5 * math.log(0.5 + root)
+        # log(0.5 + root) with 0.5 + root = 1 + 2x/(0.5 + root): no cancellation as x -> 0
+        return 1.5 * math.log1p(2.0 * x / (0.5 + root))
     # 1/2 - root rewritten to avoid cancellation as x -> 0^-
     return 1.5 * math.log(-2.0 * x / (0.5 + root))
 

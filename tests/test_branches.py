@@ -360,11 +360,11 @@ class TestClosedForms:
 
 
 class TestClosedFormsNearZero:
-    @pytest.mark.parametrize("num, den", [(1, 2), (1, 5)])
+    @pytest.mark.parametrize("num, den", [(1, 3), (1, 2), (1, 5)])
     def test_principal_psi_tends_to_zero(self, num, den):
-        # psi0 ~ x/a -> 0 as x -> 0^-: the log(1 + small) piece must not cancel
+        # psi0 ~ x/a -> 0 as x -> 0: the log(1 + small) piece must not cancel
         a = AsymmetryParam.from_rational(num, den)
-        for x in (-1e-3, -1e-8, -1e-100, -1e-300):
+        for x in (-1e-3, -1e-8, -1.25e-9, -1e-100, -1e-300, 1e-300, 1e-100, 1e-8, 1e-3):
             got, want = psi_closed_form(a, P, x), psi(a, P, x)
             assert abs(got - want) <= 1e-14 * abs(want), x
 
