@@ -4,8 +4,9 @@ the closed-form branches against the 50-digit mpmath oracle of bench/,
 of omega at its a -> 0 band and both underflow ends against a 60-digit
 root, of psi at its far ends (subnormal x or a, roots where f or f'
 overflows) against a 60-digit root, of lambert_w near its branch point
--1/e against mpmath's, and worst relative error of omega_finite_n beyond
-its input conditioning.
+-1/e against mpmath's, of each field of param_alpha against a 60-digit
+evaluation of its formulas, and worst relative error of omega_finite_n
+beyond its input conditioning.
 
 Usage:
     PYTHONPATH=src python scripts/ulp_map.py
@@ -36,6 +37,7 @@ from conftest import geometric_grid, mp_finite_n_root, mp_omega_root, mp_psi_roo
 from pqlambert import AsymmetryParam, BranchId, branch_constants, lambert_w  # noqa: E402
 from pqlambert.branches import omega, omega_finite_n, psi, psi_closed_form  # noqa: E402
 from pqlambert.calculus import psi_derivative  # noqa: E402
+from pqlambert.parametrize import param_alpha  # noqa: E402
 from pqlambert.series import taylor_at_zero  # noqa: E402
 
 
@@ -222,6 +224,31 @@ def lambert_map() -> None:
             report("lambert_w", f"{branch.value} {lo:g} <= x + 1/e <= {hi:g}", rows)
 
 
+def param_alpha_map() -> None:
+    """alpha - 1 from 1e-8 to 1e4 at a up to 1 - 2^-52, where rho -> 1.
+    The reference takes alpha^c - 1 as expm1(c*log(alpha)) and 1 - rho as
+    alpha^(2a)*(alpha^(1-a) - 1)/(alpha^(1+a) - 1), free of cancellation."""
+    import mpmath
+
+    alphas = [1.0 + u for u in geometric_grid(1e-8, 1e4, 40)]
+    for a in (1e-8, 0.05, 0.2, 1.0 / 3.0, 0.5, 0.9, 0.999, 1.0 - 1e-8, 1.0 - 2.0 ** -52):
+        rows = {"x": [], "psi0": [], "psi1": []}
+        for alpha in alphas:
+            with mpmath.workdps(60):
+                am, lm = mpmath.mpf(a), mpmath.log(mpmath.mpf(alpha))
+                e_low, e_high = mpmath.expm1((1 - am) * lm), mpmath.expm1((1 + am) * lm)
+                rho = mpmath.expm1(2 * am * lm) / e_high
+                one_m_rho = mpmath.exp(2 * am * lm) * e_low / e_high
+                ref = {"x": -rho * one_m_rho ** ((1 - am) / (2 * am)) / 2,
+                       "psi0": mpmath.log(one_m_rho) / (2 * am),
+                       "psi1": mpmath.log(e_low / e_high) / (2 * am)}
+                point = param_alpha(a, alpha)
+                for field, got in rows.items():
+                    got.append((alpha, ulps(getattr(point, field), ref[field])))
+        for field, field_rows in rows.items():
+            report("param_alpha", f"a={a} {field}", field_rows)
+
+
 if __name__ == "__main__":
     taylor_map()
     closed_form_map()
@@ -230,3 +257,4 @@ if __name__ == "__main__":
     omega_map()
     psi_far_map()
     lambert_map()
+    param_alpha_map()

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from .core import ConvergenceError, _EPS
 
-_MAX_ITER = 100
-
 
 def newton_bracketed(fun, lo: float, hi: float, seed: float, increasing: bool) -> float:
     """Solve g(w) = 0 for monotone g on the bracket [lo, hi].
@@ -20,7 +18,7 @@ def newton_bracketed(fun, lo: float, hi: float, seed: float, increasing: bool) -
     sign = 1.0 if increasing else -1.0
     w = min(max(seed, lo), hi)
     dx = dx_old = abs(hi - lo)
-    for _ in range(_MAX_ITER):
+    for _ in range(100):
         g, dg = fun(w)
         if g == 0.0:
             return w
@@ -39,4 +37,4 @@ def newton_bracketed(fun, lo: float, hi: float, seed: float, increasing: bool) -
             return cand
         w = cand
     raise ConvergenceError(
-        f"root iteration exceeded {_MAX_ITER} steps in [{lo!r}, {hi!r}]")
+        f"root iteration exceeded 100 steps in [{lo!r}, {hi!r}]")

@@ -25,7 +25,7 @@ from pqlambert.core import (
     lambert_w,
     special_point,
 )
-from pqlambert.core import _lower_log
+from pqlambert.core import _LN2, _log_abs_em1, _lower_log
 
 P, LO = BranchId.PRINCIPAL, BranchId.LOWER
 
@@ -384,6 +384,34 @@ class TestSpecialPoint:
             special_point(0.5, 0)
         with pytest.raises(DomainError):
             special_point(0.0, 1)
+
+
+def _ulps_around(t, count):
+    """t and the doubles up to count ulps either side of it."""
+    below, above = [t], [t]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestLogAbsEm1:
+    # both switch points with 3 doubles either side, and the far ends of
+    # each sign; the worst measured is 0.43 ulps (t = -745)
+    POINTS = (_ulps_around(-_LN2, 3) + _ulps_around(33.0, 3)
+              + [5e-324, -5e-324, 1e-300, -1e-300, -745.0, 700.0, 710.0, 1e300, -1e300])
+
+    @pytest.mark.parametrize("t", POINTS)
+    def test_against_mpmath(self, t, mp50):
+        tm = mp50.mpf(t)
+        if t > 0.0:
+            ref = mp50.log(mp50.expm1(tm))
+        elif t > -1.0:
+            ref = mp50.log(-mp50.expm1(tm))
+        else:
+            ref = mp50.log1p(-mp50.exp(tm))
+        got = _log_abs_em1(t)
+        assert abs(mp50.mpf(got) - ref) <= mp50.mpf(math.ulp(float(ref))) / 2, (got, ref)
 
 
 class TestLambertW:

@@ -493,8 +493,9 @@ class TestPeakDrift:
             peak_drift(2 ** 24 + 1, 0.37, -2.0)
 
     def test_working_set_leaves_out_the_factor_terms(self):
-        # the log-ratios and the scan's index array, about 2.5 arrays of
-        # n+1 doubles; the factor terms held through the scan make it 3.6
+        # the streamed scan holds a few blocks of 2^14 factor terms and
+        # log-ratios, about 1.5 arrays of n+1 doubles at n = 2^16 (0.8 MB);
+        # factor terms held for all n through the scan would make it 3.6
         n = 2 ** 16
         peak_drift(64, 0.37, -2.0)  # imports and caches outside the trace
         tracemalloc.start()
