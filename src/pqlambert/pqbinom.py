@@ -303,8 +303,8 @@ def _log_abs_expm1(t: float) -> float:
     """log|exp(t) - 1|, which is t to double precision where exp(t) overflows.
 
     core._log_abs_em1 would move the last bits of 176 of 2880 seeded
-    equal_ratio_residual results for no gain: both kernels put the moved
-    ones within 1.6e-15 of max(|ratio|, 1), so this copy stays."""
+    equal_ratio_residual results; either kernel puts the moved ones within
+    1.6e-15 of max(|ratio|, 1), so this copy stays and keeps their bits."""
     return t if t > _LOG_DBL_MAX else math.log(abs(math.expm1(t)))
 
 

@@ -36,6 +36,15 @@ def geometric_grid(lo, hi, count):
     return [sgn * math.exp(la + (lb - la) * i / (count - 1)) for i in range(count)]
 
 
+def ulps_around(t, count):
+    """t and the doubles up to count ulps either side of it, in order."""
+    below, above = [t], [t]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
 def linear_grid(lo, hi, count):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 

@@ -29,6 +29,7 @@ import random
 
 import pytest
 
+from conftest import ulps_around
 from pqlambert.branches import omega, omega_finite_n, psi
 from pqlambert.branches import omega_closed_form, psi_closed_form
 from pqlambert.calculus import psi_derivative, psi_primitive
@@ -123,15 +124,6 @@ def primitive_closed_form_grid(seed=20261020, count=12, draws=3):
     return calls
 
 
-def _near(t, count=3):
-    """t and the doubles up to count ulps either side of it."""
-    below, above = [t], [t]
-    for _ in range(count):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
-
-
 def log_abs_em1_caller_grid(seed=20261021, count=8):
     """The pinned calls of param_alpha and omega_closed_form: the rationals
     1/3, 1/2 and 1/5 and drawn a, with alpha and z on both sides of the
@@ -146,13 +138,13 @@ def log_abs_em1_caller_grid(seed=20261021, count=8):
                   _log_uniform(rng, 1, 300), 1e300]
         for c in (1.0 - aa, 1.0 + aa, 2.0 * aa):  # t = c*log(alpha) at 33
             if 33.0 / c < 709.0:
-                alphas += [math.exp(la) for la in _near(33.0 / c, 2)]
+                alphas += [math.exp(la) for la in ulps_around(33.0 / c, 2)]
         calls += [("param_alpha", [a, alpha]) for alpha in alphas]
     for a in rationals:
         w_min = branch_constants(_arg(a).a).w_min
         zs = [-_log_uniform(rng, -300, 3) for _ in range(8)]
         zs += [w_min * rng.uniform(0.5, 2.0), -5e-324, -1e-310, -745.0, -1200.0]
-        zs += _near(-1.5 * math.log(2.0))  # 2z/3 at -ln 2
+        zs += ulps_around(-1.5 * math.log(2.0), 3)  # 2z/3 at -ln 2
         calls += [("omega_closed_form", [a, z]) for z in zs]
     return calls
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import ulps_around
 from pqlambert.core import (
     AsymmetryParam,
     BranchConstants,
@@ -386,19 +387,10 @@ class TestSpecialPoint:
             special_point(0.0, 1)
 
 
-def _ulps_around(t, count):
-    """t and the doubles up to count ulps either side of it."""
-    below, above = [t], [t]
-    for _ in range(count):
-        below.append(math.nextafter(below[-1], -math.inf))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below[:0:-1] + above
-
-
 class TestLogAbsEm1:
     # both switch points with 3 doubles either side, and the far ends of
     # each sign; the worst measured is 0.43 ulps (t = -745)
-    POINTS = (_ulps_around(-_LN2, 3) + _ulps_around(33.0, 3)
+    POINTS = (ulps_around(-_LN2, 3) + ulps_around(33.0, 3)
               + [5e-324, -5e-324, 1e-300, -1e-300, -745.0, 700.0, 710.0, 1e300, -1e300])
 
     @pytest.mark.parametrize("t", POINTS)
